@@ -2,28 +2,16 @@
 
 Planning is one (rows x identities) matrix of Beta draws plus a
 per-row partition for the percentile threshold, so cost is close to
-linear in both dimensions. Worker threads split the fixed draw chunks;
-the result is bitwise identical at any worker count.
+linear in both dimensions.
 """
-import argparse
-
 from spanbandit import bench_inference
 
 
 def main():
-    ap = argparse.ArgumentParser()
-    ap.add_argument("--workers", type=int, default=1)
-    args = ap.parse_args()
-
     print(f"{'identities':>10} {'mc rows':>8} {'median ms':>10}")
     for num_identities in (50, 150, 564):
         for mc_rows in (2_000, 10_000):
-            res = bench_inference(
-                num_identities=num_identities,
-                mc_rows=mc_rows,
-                reps=3,
-                workers=args.workers,
-            )
+            res = bench_inference(num_identities=num_identities, mc_rows=mc_rows, reps=3)
             print(f"{num_identities:>10} {mc_rows:>8} {res.median_ms:>10.1f}")
 
 

@@ -9,6 +9,7 @@ simulator with presets, elimination baselines, and tag correlation.
 from .abs_sampler import (
     DrawMatrix,
     EmptyStore,
+    InvalidPolicy,
     SamplingPolicy,
     VitalityReport,
     VitalSetConfig,
@@ -41,14 +42,17 @@ from .baselines import (
 from .belief import (
     BeliefStore,
     BetaBelief,
+    InvalidBelief,
     NormalizationOutOfRange,
     init_belief,
+    learn_batch,
     load_store,
     posterior_variance,
     save_store,
     store_from_json_dict,
     store_to_json_dict,
     update_epoch,
+    write_json,
 )
 from .experiment import (
     BenchResult,
@@ -110,7 +114,6 @@ from .trace_model import (
     TraceFormatError,
     build_trace,
     decompose,
-    from_jaeger_export,
     read_traces_jsonl,
     span_from_json,
     span_to_json,

@@ -15,22 +15,20 @@ row (the row maximum always qualifies), so vital probabilities sum to at
 least 1 and a single-identity store gets probability 1.0 exactly.
 
 Drawing is done in a fixed layout of 8 row chunks, each with its own
-seed spawned from the configured seed. Chunks may be filled serially or
-by a thread pool; the result is bitwise identical either way, so worker
-count is a performance knob, never a semantics knob.
+seed spawned from the configured seed. The layout defines the random
+stream, so it stays fixed even though the chunks are filled in order.
 """
 from __future__ import annotations
 
 import csv
 import io
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .belief import BeliefStore, posterior_variance
+from .belief import BeliefStore, posterior_variance, write_json
 from .trace_model import SpanIdentity
 
 _DRAW_CHUNKS = 8
@@ -38,6 +36,10 @@ _DRAW_CHUNKS = 8
 
 class EmptyStore(ValueError):
     pass
+
+
+class InvalidPolicy(ValueError):
+    """A policy or planner value outside its range; the message names the field."""
 
 
 @dataclass(frozen=True)
@@ -57,9 +59,9 @@ class VitalSetConfig:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.percentile_p <= 100.0:
-            raise ValueError("percentile_p must lie in (0, 100]")
+            raise InvalidPolicy(f"percentile_p must lie in (0, 100], got {self.percentile_p!r}")
         if not 0.0 <= self.epsilon < 1.0:
-            raise ValueError("epsilon must lie in [0, 1)")
+            raise InvalidPolicy(f"epsilon must lie in [0, 1), got {self.epsilon!r}")
         if self.mc_rows < 1:
             raise ValueError("mc_rows must be positive")
 
@@ -69,13 +71,12 @@ class DrawMatrix(NamedTuple):
     values: np.ndarray  # shape (mc_rows, len(identities))
 
 
-def draw_matrix(store: BeliefStore, cfg: VitalSetConfig, workers: int = 1) -> DrawMatrix:
+def draw_matrix(store: BeliefStore, cfg: VitalSetConfig) -> DrawMatrix:
     """Sample an (mc_rows x S) matrix of utilities from the current beliefs.
 
     Identities are ordered lexicographically; rows are split into 8 fixed
     chunks seeded independently from cfg.rng_seed, so the same
-    (beliefs, config, seed) triple always yields the same matrix no matter
-    how many worker threads fill it.
+    (beliefs, config, seed) triple always yields the same matrix.
     """
     if not store.beliefs:
         raise EmptyStore("no identities to draw for")
@@ -87,15 +88,10 @@ def draw_matrix(store: BeliefStore, cfg: VitalSetConfig, workers: int = 1) -> Dr
     bounds = np.linspace(0, cfg.mc_rows, n_chunks + 1).astype(int)
     seeds = np.random.SeedSequence(cfg.rng_seed).spawn(n_chunks)
 
-    def fill(i: int) -> np.ndarray:
-        rng = np.random.Generator(np.random.PCG64(seeds[i]))
-        return rng.beta(alphas, betas, size=(bounds[i + 1] - bounds[i], len(identities)))
-
-    if workers > 1 and n_chunks > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(fill, range(n_chunks)))
-    else:
-        parts = [fill(i) for i in range(n_chunks)]
+    parts = []
+    for seed, lo, hi in zip(seeds, bounds[:-1], bounds[1:]):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        parts.append(rng.beta(alphas, betas, size=(hi - lo, len(identities))))
     return DrawMatrix(identities, np.vstack(parts))
 
 
@@ -151,9 +147,9 @@ def finalize_policy(
     )
 
 
-def build_policy(store: BeliefStore, cfg: VitalSetConfig, workers: int = 1) -> SamplingPolicy:
+def build_policy(store: BeliefStore, cfg: VitalSetConfig) -> SamplingPolicy:
     """draw_matrix + vital_probabilities + finalize_policy in one call."""
-    matrix = draw_matrix(store, cfg, workers=workers)
+    matrix = draw_matrix(store, cfg)
     vital = vital_probabilities(matrix, cfg.percentile_p)
     return finalize_policy(vital, cfg, store.epoch)
 
@@ -183,23 +179,32 @@ def policy_to_json_dict(policy: SamplingPolicy) -> dict:
     }
 
 
+def _checked(obj: dict, key: str, in_range, interval: str) -> float:
+    value = float(obj[key])
+    if not in_range(value):  # NaN fails every comparison
+        raise InvalidPolicy(f"{key} must be finite and in {interval}, got {value!r}")
+    return value
+
+
+def _unit(v: float) -> bool:
+    return 0.0 <= v <= 1.0
+
+
 def policy_from_json_dict(obj: dict) -> SamplingPolicy:
     policy = SamplingPolicy(
         epoch=int(obj["epoch"]),
-        epsilon=float(obj["epsilon"]),
-        percentile=float(obj["percentile"]),
+        epsilon=_checked(obj, "epsilon", lambda v: 0.0 <= v < 1.0, "[0, 1)"),
+        percentile=_checked(obj, "percentile", lambda v: 0.0 < v <= 100.0, "(0, 100]"),
     )
     for row in obj["entries"]:
         identity = SpanIdentity(row["service"], row["operation"], row.get("url", ""))
-        policy.entries[identity] = float(row["probability"])
-        policy.vital[identity] = float(row["vitalProbability"])
+        policy.entries[identity] = _checked(row, "probability", _unit, "[0, 1]")
+        policy.vital[identity] = _checked(row, "vitalProbability", _unit, "[0, 1]")
     return policy
 
 
 def save_policy(policy: SamplingPolicy, path: str) -> None:
-    with open(path, "w") as f:
-        json.dump(policy_to_json_dict(policy), f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(policy_to_json_dict(policy), path)
 
 
 def load_policy(path: str) -> SamplingPolicy:

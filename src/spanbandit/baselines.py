@@ -16,15 +16,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .abs_sampler import VitalSetConfig, build_policy
-from .belief import BeliefStore
+from .belief import BeliefStore, update_epoch
 from .trace_model import SpanIdentity
 from .utility import UtilityEstimate
-from .belief import update_epoch
 
 
 class BudgetExhausted(RuntimeError):
@@ -136,6 +135,29 @@ def _me_halve(
     return sorted(ranked[: (len(arms) + 1) // 2])
 
 
+def _me_rounds(
+    env: ArmEnvironment,
+    arms: Sequence[int],
+    epsilon: float,
+    delta: float,
+    rng: np.random.Generator,
+    budget: SampleBudget,
+    quota_cap: int | None,
+) -> Iterator[list[int]]:
+    """Median-elimination halvings; yields the surviving arms after each."""
+    current = sorted(arms)
+    eps_l = epsilon / 4.0
+    delta_l = delta / 2.0
+    while len(current) > 1:
+        quota = me_round_quota(eps_l, delta_l)
+        if quota_cap is not None:
+            quota = min(quota, quota_cap)
+        current = _me_halve(env, current, quota, rng, budget)
+        yield current
+        eps_l *= 0.75
+        delta_l *= 0.5
+
+
 def median_elimination(
     env: ArmEnvironment,
     arms: Sequence[int],
@@ -152,17 +174,9 @@ def median_elimination(
     decides what an aborted search means for its own state.
     """
     current = sorted(arms)
-    eps_l = epsilon / 4.0
-    delta_l = delta / 2.0
-    while len(current) > 1:
-        quota = me_round_quota(eps_l, delta_l)
-        if quota_cap is not None:
-            quota = min(quota, quota_cap)
-        current = _me_halve(env, current, quota, rng, budget)
+    for current in _me_rounds(env, current, epsilon, delta, rng, budget, quota_cap):
         if trail is not None:
             trail.append((budget.used, len(current)))
-        eps_l *= 0.75
-        delta_l *= 0.5
     return current[0]
 
 
@@ -178,17 +192,9 @@ def me_run(
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 4301))))
     arms = list(range(env.num_arms))
     trail = [(0, len(arms))]
-    eps_l = epsilon / 4.0
-    delta_l = delta / 2.0
     try:
-        while len(arms) > 1:
-            quota = me_round_quota(eps_l, delta_l)
-            if quota_cap is not None:
-                quota = min(quota, quota_cap)
-            arms = _me_halve(env, arms, quota, rng, budget)
+        for arms in _me_rounds(env, arms, epsilon, delta, rng, budget, quota_cap):
             trail.append((budget.used, len(arms)))
-            eps_l *= 0.75
-            delta_l *= 0.5
     except BudgetExhausted:
         trail.append((budget.used, len(arms)))
     return EliminationOutcome("median_elimination", tuple(arms), budget.used, tuple(trail))
@@ -254,7 +260,8 @@ def abs_run(
     vital-set probability falls below epsilon. Eliminated arms stop
     costing budget, which is the mechanism the fixed-quota baselines
     lack. The counting mode is used here because elimination wants
-    beliefs that concentrate with evidence.
+    beliefs that concentrate with evidence. A retired arm's belief is
+    deleted, so the store only ever holds the arms still planned over.
     """
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 4303))))
     identities = [SpanIdentity(f"arm-{i:03d}", "reward") for i in range(env.num_arms)]
@@ -279,20 +286,17 @@ def abs_run(
             for a in survivors
         ]
         update_epoch(store, estimates)
-        live = BeliefStore(
-            lam=lam,
-            mode=mode,
-            epoch=store.epoch,
-            beliefs={identities[a]: store.beliefs[identities[a]] for a in survivors},
-        )
         cfg = VitalSetConfig(
             percentile_p=percentile,
             epsilon=epsilon,
             mc_rows=mc_rows,
             rng_seed=int(np.random.SeedSequence((seed, 4304, epoch)).generate_state(1)[0]),
         )
-        policy = build_policy(live, cfg)
-        survivors = [a for a in survivors if not policy.eliminated(identities[a])]
+        policy = build_policy(store, cfg)
+        for a in survivors:
+            if policy.eliminated(identities[a]):
+                del store.beliefs[identities[a]]
+        survivors = [a for a in survivors if identities[a] in store.beliefs]
         trail.append((budget.used, len(survivors)))
     return EliminationOutcome("belief_sampler", tuple(survivors), budget.used, tuple(trail))
 

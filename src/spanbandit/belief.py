@@ -22,12 +22,15 @@ Identities absent from a batch are left untouched rather than decayed:
 """
 from __future__ import annotations
 
+import contextlib
 import json
+import math
+import os
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from .trace_model import SpanIdentity
-from .utility import UtilityEstimate
+from .trace_model import SpanIdentity, Trace
+from .utility import UtilityEstimate, compute_batch_utilities, measure_min_samples
 
 PARAM_FLOOR = 1e-9
 UPDATE_MODES = ("verbatim_ewma", "discounted_count")
@@ -37,14 +40,22 @@ class NormalizationOutOfRange(ValueError):
     pass
 
 
+class InvalidBelief(ValueError):
+    """A Beta parameter that is not a finite positive number."""
+
+
 @dataclass
 class BetaBelief:
     alpha: float = 1.0
     beta: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ValueError("beta parameters must be positive")
+        # One NaN belief zeroes every identity's vital probability, so
+        # non-finite parameters are rejected here, not downstream.
+        for name in ("alpha", "beta"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise InvalidBelief(f"{name} must be finite and > 0, got {value!r}")
 
     @property
     def mean(self) -> float:
@@ -120,6 +131,23 @@ def update_epoch(store: BeliefStore, estimates: Iterable[UtilityEstimate]) -> Be
     return store
 
 
+def learn_batch(
+    store: BeliefStore, traces: Sequence[Trace], measure: str = "variance"
+) -> list[UtilityEstimate]:
+    """The learning half of one epoch: score the batch, then update the store.
+
+    An estimate from fewer observations than the measure needs (a single
+    observation carries no spread) is withheld, so its identity is left
+    untouched as if absent instead of being pushed toward zero utility.
+    Returns the estimates that were applied.
+    """
+    estimates = compute_batch_utilities(traces, measure)
+    floor = measure_min_samples(measure)
+    estimates = [e for e in estimates if e.sample_count >= floor]
+    update_epoch(store, estimates)
+    return estimates
+
+
 # --- snapshot wire format ----------------------------------------------------
 #
 # {"epoch": int, "lambda": float, "mode": str,
@@ -153,10 +181,29 @@ def store_from_json_dict(obj: dict) -> BeliefStore:
     return store
 
 
+def write_json(obj, path: str) -> None:
+    """Write `obj` as indented, key-sorted JSON, replacing `path` atomically.
+
+    The document goes to a temporary file beside `path`, which then
+    replaces it, so a failure mid-write leaves the old file intact and no
+    temporary file behind.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as f:
+            json.dump(obj, f, indent=2, sort_keys=True)
+            f.write("\n")
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def save_store(store: BeliefStore, path: str) -> None:
-    with open(path, "w") as f:
-        json.dump(store_to_json_dict(store), f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(store_to_json_dict(store), path)
 
 
 def load_store(path: str) -> BeliefStore:

@@ -21,7 +21,7 @@ from .abs_sampler import (
     save_policy,
 )
 from .baselines import ComparisonConfig, compare_elimination
-from .belief import BeliefStore, load_store, save_store, update_epoch
+from .belief import BeliefStore, learn_batch, load_store, save_store, write_json
 from .experiment import (
     RunConfig,
     bench_inference,
@@ -43,7 +43,6 @@ from .trace_model import (
     read_traces_jsonl,
     write_traces_jsonl,
 )
-from .utility import compute_batch_utilities, measure_min_samples
 from .version import VERSION
 
 
@@ -83,9 +82,7 @@ def _cmd_simulate(args) -> int:
     traces, truth = simulate_workload(topology, anomalies, workload, policy)
     write_traces_jsonl(traces, args.out)
     if args.truth_out:
-        with open(args.truth_out, "w") as f:
-            json.dump(ground_truth_to_json_dict(truth), f, indent=2, sort_keys=True)
-            f.write("\n")
+        write_json(ground_truth_to_json_dict(truth), args.truth_out)
     _print_json(
         {
             "command": "simulate",
@@ -138,35 +135,26 @@ def _cmd_decompose(args) -> int:
     return 0
 
 
+def _planner_config(args) -> VitalSetConfig:
+    return VitalSetConfig(
+        percentile_p=args.percentile,
+        epsilon=args.epsilon,
+        mc_rows=args.mc_rows,
+        rng_seed=_resolve_seed(args),
+    )
+
+
 def _cmd_learn(args) -> int:
     traces = read_traces_jsonl(args.input, lenient=args.lenient)
-    if os.path.exists(args.state):
-        store = load_store(args.state)
-        if args.lam is not None:
-            store.lam = args.lam
-        if args.mode is not None:
-            store.mode = args.mode
-        store.__post_init__()
-    else:
-        store = BeliefStore(
-            lam=args.lam if args.lam is not None else 0.3,
-            mode=args.mode if args.mode is not None else "verbatim_ewma",
-        )
-    estimates = compute_batch_utilities(traces, args.measure)
-    if not args.keep_thin:
-        floor = measure_min_samples(args.measure)
-        estimates = [e for e in estimates if e.sample_count >= floor]
-    update_epoch(store, estimates)
+    store = load_store(args.state) if os.path.exists(args.state) else BeliefStore()
+    # replace() re-runs the store's validation on the overridden knobs.
+    overrides = {k: v for k, v in (("lam", args.lam), ("mode", args.mode)) if v is not None}
+    store = replace(store, **overrides)
+    estimates = learn_batch(store, traces, args.measure)
     save_store(store, args.state_out or args.state)
     policy_entries = None
     if args.policy_out:
-        cfg = VitalSetConfig(
-            percentile_p=args.percentile,
-            epsilon=args.epsilon,
-            mc_rows=args.mc_rows,
-            rng_seed=_resolve_seed(args),
-        )
-        policy = build_policy(store, cfg, workers=args.workers)
+        policy = build_policy(store, _planner_config(args))
         save_policy(policy, args.policy_out)
         policy_entries = len(policy.entries)
     _print_json(
@@ -190,13 +178,7 @@ def _cmd_report(args) -> int:
     if args.policy:
         policy = load_policy(args.policy)
     else:
-        cfg = VitalSetConfig(
-            percentile_p=args.percentile,
-            epsilon=args.epsilon,
-            mc_rows=args.mc_rows,
-            rng_seed=_resolve_seed(args),
-        )
-        policy = build_policy(store, cfg, workers=args.workers)
+        policy = build_policy(store, _planner_config(args))
     rep = report(policy, store)
     if args.csv:
         with open(args.csv, "w") as f:
@@ -219,7 +201,6 @@ def _cmd_experiment(args) -> int:
         percentile=args.percentile,
         epsilon=args.epsilon,
         mc_rows=args.mc_rows,
-        workers=args.workers,
     )
     if args.sweep:
         values = [float(v) for v in args.values.split(",") if v != ""]
@@ -285,9 +266,7 @@ def _cmd_compare(args) -> int:
     result = compare_elimination(config)
     payload = result.to_json_dict()
     if args.out:
-        with open(args.out, "w") as f:
-            json.dump(payload, f, indent=2, sort_keys=True)
-            f.write("\n")
+        write_json(payload, args.out)
     _print_json(
         {
             "command": "compare-baselines",
@@ -312,7 +291,6 @@ def _cmd_bench(args) -> int:
         num_identities=args.identities,
         mc_rows=args.mc_rows,
         reps=args.reps,
-        workers=args.workers,
         percentile=args.percentile,
         seed=_resolve_seed(args),
     )
@@ -324,7 +302,6 @@ def _add_planner_flags(p: argparse.ArgumentParser, mc_rows_default: int = 100_00
     p.add_argument("--percentile", type=float, default=75.0, help="vital-set percentile P")
     p.add_argument("--epsilon", type=float, default=0.05, help="exploration floor")
     p.add_argument("--mc-rows", type=int, default=mc_rows_default, help="Monte Carlo rows")
-    p.add_argument("--workers", type=int, default=1, help="draw threads")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -359,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measure", default="variance")
     p.add_argument("--lambda", dest="lam", type=float, default=None, help="forgetting factor")
     p.add_argument("--mode", choices=("verbatim_ewma", "discounted_count"), default=None)
-    p.add_argument("--keep-thin", action="store_true", help="update from estimates below the measure's sample floor")
     p.add_argument("--lenient", action="store_true")
     p.add_argument("--policy-out", help="also plan and save a policy")
     p.add_argument("--seed", type=int)
@@ -418,7 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--identities", type=int, default=564)
     p.add_argument("--mc-rows", type=int, default=10_000)
     p.add_argument("--reps", type=int, default=5)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--percentile", type=float, default=75.0)
     p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_bench)

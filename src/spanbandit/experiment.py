@@ -34,7 +34,6 @@ class RunConfig:
     percentile: float = 75.0
     epsilon: float = 0.05
     mc_rows: int = 20_000
-    workers: int = 1
 
     def to_json_dict(self) -> dict:
         d = asdict(self)
@@ -58,7 +57,6 @@ class RunConfig:
             percentile=self.percentile,
             epsilon=self.epsilon,
             mc_rows=self.mc_rows,
-            workers=self.workers,
         )
 
 
@@ -102,7 +100,7 @@ class ExperimentResult:
     def mean_over_seeds(self, fn) -> float:
         return float(np.mean([fn(r) for r in self.results.values()]))
 
-    def summary_dict(self, threshold: float = 0.9, within_traces: int = 500) -> dict:
+    def summary_dict(self, threshold: float = 0.9, within_traces: int | None = 500) -> dict:
         traces_needed = [self.traces_to_reach(s, threshold) for s in self.results]
         requests_needed = [self.requests_to_reach(s, threshold) for s in self.results]
         reached = [t for t in traces_needed if t is not None]
@@ -196,34 +194,17 @@ def sweep(config: RunConfig, param: str, values, threshold: float = 0.9) -> list
     points = []
     for value in values:
         result = run_experiment(replace(config, **{param: float(value)}))
-        traces_needed = [
-            t
-            for s in result.results
-            if (t := result.traces_to_reach(s, threshold)) is not None
-        ]
-        requests_needed = [
-            t
-            for s in result.results
-            if (t := result.requests_to_reach(s, threshold)) is not None
-        ]
+        summary = result.summary_dict(threshold, None)
         points.append(
             SweepPoint(
                 param=param,
                 value=float(value),
-                converged_fraction=result.converged_fraction(threshold),
-                mean_traces_to_reach=float(np.mean(traces_needed)) if traces_needed else None,
-                mean_requests_to_reach=(
-                    float(np.mean(requests_needed)) if requests_needed else None
-                ),
-                mean_cumulative_fraction_enabled=result.mean_over_seeds(
-                    lambda r: r.cumulative_fraction_enabled()
-                ),
-                mean_final_fraction_enabled=result.mean_over_seeds(
-                    lambda r: r.rows[-1].fraction_enabled
-                ),
-                mean_final_faulty_probability=result.mean_over_seeds(
-                    lambda r: r.rows[-1].faulty_probability
-                ),
+                converged_fraction=summary["convergedFraction"],
+                mean_traces_to_reach=summary["meanTracesToReach"],
+                mean_requests_to_reach=summary["meanRequestsToReach"],
+                mean_cumulative_fraction_enabled=summary["meanCumulativeFractionEnabled"],
+                mean_final_fraction_enabled=summary["meanFinalFractionEnabled"],
+                mean_final_faulty_probability=summary["meanFinalFaultyProbability"],
             )
         )
     return points
@@ -267,7 +248,6 @@ def write_sweep_csv(points: list[SweepPoint], config: RunConfig, path: str) -> N
 class BenchResult:
     num_identities: int
     mc_rows: int
-    workers: int
     reps: int
     times_ms: tuple[float, ...]
 
@@ -279,7 +259,6 @@ class BenchResult:
         return {
             "numIdentities": self.num_identities,
             "mcRows": self.mc_rows,
-            "workers": self.workers,
             "reps": self.reps,
             "timesMs": [round(t, 3) for t in self.times_ms],
             "medianMs": round(self.median_ms, 3),
@@ -302,23 +281,21 @@ def bench_inference(
     num_identities: int = 564,
     mc_rows: int = 10_000,
     reps: int = 5,
-    workers: int = 1,
     percentile: float = 75.0,
     seed: int = 0,
 ) -> BenchResult:
     """Median wall time to plan one policy from a store of the given size."""
     store = synthetic_store(num_identities, seed)
     cfg = VitalSetConfig(percentile_p=percentile, epsilon=0.05, mc_rows=mc_rows, rng_seed=seed)
-    build_policy(store, cfg, workers=workers)  # warm allocator and caches
+    build_policy(store, cfg)  # warm allocator and caches
     times = []
     for _ in range(reps):
         t0 = time.perf_counter()
-        build_policy(store, cfg, workers=workers)
+        build_policy(store, cfg)
         times.append((time.perf_counter() - t0) * 1000.0)
     return BenchResult(
         num_identities=num_identities,
         mc_rows=mc_rows,
-        workers=workers,
         reps=reps,
         times_ms=tuple(times),
     )

@@ -24,9 +24,8 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 from .abs_sampler import SamplingPolicy, VitalSetConfig, build_policy, report
-from .belief import BeliefStore, update_epoch
+from .belief import BeliefStore, learn_batch, write_json
 from .trace_model import SpanIdentity, SpanRecord, Trace, build_trace
-from .utility import compute_batch_utilities, measure_min_samples
 
 
 class InvalidTopology(ValueError):
@@ -121,12 +120,6 @@ class TopologySpec:
             color[identity] = 2
 
         visit(self.root)
-
-    def operation(self, identity: SpanIdentity) -> OperationSpec:
-        for op in self.operations:
-            if op.identity == identity:
-                return op
-        raise KeyError(identity)
 
     def identities(self) -> tuple[SpanIdentity, ...]:
         return tuple(op.identity for op in self.operations)
@@ -425,11 +418,6 @@ class ControllerConfig:
     percentile: float = 75.0
     epsilon: float = 0.05
     mc_rows: int = 20_000
-    workers: int = 1
-    # A single observation cannot carry spread information; by default such
-    # estimates are withheld from the belief update (treated like absent)
-    # instead of pushing the identity toward zero utility.
-    skip_thin_spread: bool = True
 
 
 @dataclass(frozen=True)
@@ -541,11 +529,7 @@ def run_closed_loop(
         )
 
         t0 = time.perf_counter()
-        estimates = compute_batch_utilities(traces, controller.measure)
-        if controller.skip_thin_spread:
-            floor = measure_min_samples(controller.measure)
-            estimates = [e for e in estimates if e.sample_count >= floor]
-        update_epoch(store, estimates)
+        learn_batch(store, traces, controller.measure)
         cfg = VitalSetConfig(
             percentile_p=controller.percentile,
             epsilon=controller.epsilon,
@@ -554,7 +538,7 @@ def run_closed_loop(
                 np.random.SeedSequence((workload.rng_seed, 7002, epoch)).generate_state(1)[0]
             ),
         )
-        policy = build_policy(store, cfg, workers=controller.workers)
+        policy = build_policy(store, cfg)
         inference_ms = (time.perf_counter() - t0) * 1000.0
 
         ranked = report(policy, store)
@@ -746,9 +730,7 @@ def save_spec(
     workload: WorkloadSpec,
     path: str,
 ) -> None:
-    with open(path, "w") as f:
-        json.dump(spec_to_json_dict(topology, anomalies, workload), f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(spec_to_json_dict(topology, anomalies, workload), path)
 
 
 def load_spec(path: str) -> tuple[TopologySpec, tuple[AnomalySpec, ...], WorkloadSpec]:

@@ -248,10 +248,6 @@ def decompose(trace: Trace) -> list[DecomposedSpan]:
     return out
 
 
-def end_to_end_latency_us(trace: Trace) -> int:
-    return trace.end_to_end_latency_us()
-
-
 # --- JSONL wire format ------------------------------------------------------
 #
 # One span per line:
@@ -273,10 +269,10 @@ def span_to_json(rec: SpanRecord) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-def _require_int(obj: dict, key: str, line_no: int) -> int:
+def _require_count(obj: dict, key: str, line_no: int) -> int:
     v = obj.get(key)
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise TraceFormatError(f"line {line_no}: {key} must be an integer")
+    if isinstance(v, bool) or not isinstance(v, int) or v < 0:
+        raise TraceFormatError(f"line {line_no}: {key} must be a non-negative integer")
     return v
 
 
@@ -290,16 +286,19 @@ def span_from_json(line: str, line_no: int = 0) -> SpanRecord:
     for key in ("traceId", "spanId", "service", "operation"):
         if not isinstance(obj.get(key), str) or not obj.get(key):
             raise TraceFormatError(f"line {line_no}: missing or invalid {key}")
+    parent_id = obj.get("parentId")
+    if parent_id is not None and (not isinstance(parent_id, str) or not parent_id):
+        raise TraceFormatError(f"line {line_no}: parentId must be null or a non-empty string")
     tags = obj.get("tags", {})
     if not isinstance(tags, dict):
         raise TraceFormatError(f"line {line_no}: tags must be an object")
     return SpanRecord(
         trace_id=obj["traceId"],
         span_id=obj["spanId"],
-        parent_id=obj.get("parentId"),
+        parent_id=parent_id,
         identity=SpanIdentity(obj["service"], obj["operation"], obj.get("url", "")),
-        start_us=_require_int(obj, "startUs", line_no),
-        duration_us=_require_int(obj, "durationUs", line_no),
+        start_us=_require_count(obj, "startUs", line_no),
+        duration_us=_require_count(obj, "durationUs", line_no),
         tags={str(k): str(v) for k, v in tags.items()},
     )
 
@@ -323,38 +322,3 @@ def read_traces_jsonl(path: str, lenient: bool = False) -> list[Trace]:
             groups.setdefault(rec.trace_id, []).append(rec)
     return [build_trace(records, lenient=lenient) for records in groups.values()]
 
-
-def from_jaeger_export(obj: dict, lenient: bool = True) -> list[Trace]:
-    """Map a Jaeger UI JSON export ({"data": [...]}) onto span records.
-
-    Convenience for feeding real traces through the decomposition; only the
-    fields this package needs are read (operation name, process service
-    name, the http.url tag when present, start time and duration in
-    microseconds, and CHILD_OF references).
-    """
-    traces = []
-    for entry in obj.get("data", []):
-        processes = entry.get("processes", {})
-        records = []
-        for span in entry.get("spans", []):
-            parent = None
-            for ref in span.get("references", []):
-                if ref.get("refType") == "CHILD_OF":
-                    parent = ref.get("spanID")
-                    break
-            tags = {t["key"]: str(t["value"]) for t in span.get("tags", []) if "key" in t}
-            service = processes.get(span.get("processID", ""), {}).get("serviceName", "unknown")
-            records.append(
-                SpanRecord(
-                    trace_id=span["traceID"],
-                    span_id=span["spanID"],
-                    parent_id=parent,
-                    identity=SpanIdentity(service, span["operationName"], tags.get("http.url", "")),
-                    start_us=int(span["startTime"]),
-                    duration_us=int(span["duration"]),
-                    tags=tags,
-                )
-            )
-        if records:
-            traces.append(build_trace(records, lenient=lenient))
-    return traces

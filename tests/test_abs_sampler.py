@@ -1,5 +1,4 @@
 """Monte-Carlo vital-set estimation and the published sampling policy."""
-import numpy as np
 import pytest
 from scipy import integrate, stats
 
@@ -7,6 +6,7 @@ from spanbandit import (
     BeliefStore,
     BetaBelief,
     EmptyStore,
+    InvalidPolicy,
     SpanIdentity,
     VitalSetConfig,
     build_policy,
@@ -114,16 +114,10 @@ def test_config_validation():
         VitalSetConfig(epsilon=1.0)
     with pytest.raises(ValueError):
         VitalSetConfig(mc_rows=0)
-
-
-def test_worker_count_is_not_a_semantics_knob():
-    store = _store([(2, 5), (5, 2), (1, 1), (4, 4), (9, 1)])
-    cfg = VitalSetConfig(mc_rows=4096, rng_seed=21)
-    serial = draw_matrix(store, cfg, workers=1)
-    threaded = draw_matrix(store, cfg, workers=3)
-    assert serial.identities == threaded.identities
-    assert np.array_equal(serial.values, threaded.values)
-    assert serial.values.tobytes() == threaded.values.tobytes()
+    with pytest.raises(InvalidPolicy, match="percentile"):
+        VitalSetConfig(percentile_p=float("nan"))
+    with pytest.raises(InvalidPolicy, match="epsilon"):
+        VitalSetConfig(epsilon=float("nan"))
 
 
 def test_policy_json_round_trip(tmp_path):
@@ -138,6 +132,41 @@ def test_policy_json_round_trip(tmp_path):
     assert back.entries == policy.entries
     assert back.vital == policy.vital
     assert policy_from_json_dict(policy_to_json_dict(policy)).entries == policy.entries
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("probability", 7.5),
+        ("probability", -0.01),
+        ("probability", float("nan")),
+        ("vitalProbability", -1.0),
+        ("vitalProbability", float("inf")),
+    ],
+)
+def test_policy_entry_out_of_range_rejected(field, value):
+    obj = policy_to_json_dict(build_policy(_store([(2, 5), (5, 2)]), VitalSetConfig(mc_rows=500)))
+    obj["entries"][1][field] = value
+    with pytest.raises(InvalidPolicy, match=f"{field} must be finite and in \\[0, 1\\]"):
+        policy_from_json_dict(obj)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("epsilon", 1.0),
+        ("epsilon", -0.5),
+        ("epsilon", float("nan")),
+        ("percentile", 0.0),
+        ("percentile", 100.5),
+        ("percentile", float("inf")),
+    ],
+)
+def test_policy_header_out_of_range_rejected(field, value):
+    obj = policy_to_json_dict(build_policy(_store([(2, 5), (5, 2)]), VitalSetConfig(mc_rows=500)))
+    obj[field] = value
+    with pytest.raises(InvalidPolicy, match=field):
+        policy_from_json_dict(obj)
 
 
 def test_report_ranks_by_vital_then_mean():

@@ -1,10 +1,13 @@
 """Beta belief updates, closed forms, and the snapshot wire format."""
+import json
+
 import numpy as np
 import pytest
 
 from spanbandit import (
     BeliefStore,
     BetaBelief,
+    InvalidBelief,
     NormalizationOutOfRange,
     SpanIdentity,
     UtilityEstimate,
@@ -16,7 +19,7 @@ from spanbandit import (
     store_to_json_dict,
     update_epoch,
 )
-from spanbandit.belief import PARAM_FLOOR
+from spanbandit.belief import PARAM_FLOOR, write_json
 
 IDENT = SpanIdentity("svc", "op")
 OTHER = SpanIdentity("svc", "other")
@@ -47,6 +50,29 @@ def test_invalid_parameters_rejected():
         BeliefStore(lam=1.5)
     with pytest.raises(ValueError):
         BeliefStore(mode="running_sum")
+
+
+@pytest.mark.parametrize(
+    "alpha, beta, field",
+    [
+        (float("nan"), 1.0, "alpha"),
+        (float("inf"), 1.0, "alpha"),
+        (-2.0, 1.0, "alpha"),
+        (1.0, float("nan"), "beta"),
+        (1.0, float("-inf"), "beta"),
+        (1.0, 0.0, "beta"),
+    ],
+)
+def test_non_finite_or_non_positive_belief_rejected(alpha, beta, field):
+    with pytest.raises(InvalidBelief, match=f"^{field} "):
+        BetaBelief(alpha, beta)
+
+
+def test_store_file_with_nan_belief_rejected():
+    obj = {"epoch": 1, "lambda": 0.3, "mode": "verbatim_ewma",
+           "beliefs": [{"service": "s", "operation": "o", "alpha": float("nan"), "beta": 1.0}]}
+    with pytest.raises(InvalidBelief, match="alpha"):
+        store_from_json_dict(obj)
 
 
 def test_verbatim_ewma_closed_form():
@@ -152,3 +178,33 @@ def test_store_json_dict_sorted_and_url_optional():
     del obj["beliefs"][0]["url"]
     back = store_from_json_dict(obj)
     assert SpanIdentity("alpha", "op") in back.beliefs
+
+
+def test_write_json_keeps_old_file_when_dump_fails(tmp_path):
+    path = tmp_path / "doc.json"
+    write_json({"b": 1, "a": [1, 2]}, str(path))
+    before = path.read_text()
+    assert before == '{\n  "a": [\n    1,\n    2\n  ],\n  "b": 1\n}\n'
+    with pytest.raises(TypeError):
+        write_json({"a": 1, "z": object()}, str(path))
+    assert path.read_text() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["doc.json"]
+
+
+def test_save_store_is_atomic(tmp_path, monkeypatch):
+    store = BeliefStore()
+    update_epoch(store, [_est(IDENT, 0.6)])
+    path = tmp_path / "state.json"
+    save_store(store, str(path))
+    before = path.read_bytes()
+
+    def dump_then_fail(obj, f, **kwargs):
+        f.write('{"epoch": ')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", dump_then_fail)
+    update_epoch(store, [_est(IDENT, 0.1)])
+    with pytest.raises(OSError, match="disk full"):
+        save_store(store, str(path))
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["state.json"]

@@ -21,7 +21,6 @@ from spanbandit import (
     union_duration,
     write_traces_jsonl,
 )
-from spanbandit.trace_model import end_to_end_latency_us
 
 WEB = SpanIdentity("web", "get")
 DB = SpanIdentity("db", "find")
@@ -170,7 +169,6 @@ def test_preorder_sorted_by_start_then_id():
 def test_end_to_end_latency():
     t = build_trace([_span("p", None, 7, 1234, WEB)])
     assert t.end_to_end_latency_us() == 1234
-    assert end_to_end_latency_us(t) == 1234
 
 
 def test_span_json_round_trip():
@@ -201,6 +199,30 @@ def test_span_from_json_rejects_bad_lines():
                 }
             )
         )
+
+
+def _line(**fields):
+    obj = {"traceId": "t", "spanId": "s", "service": "w", "operation": "o",
+           "startUs": 0, "durationUs": 2}
+    obj.update(fields)
+    return json.dumps(obj)
+
+
+@pytest.mark.parametrize("parent", [5, "", True, ["p"], {"id": "p"}])
+def test_span_from_json_rejects_bad_parent_id(parent):
+    with pytest.raises(TraceFormatError, match="^line 7: parentId"):
+        span_from_json(_line(parentId=parent), line_no=7)
+
+
+def test_span_from_json_accepts_null_or_string_parent():
+    assert span_from_json(_line(parentId=None)).parent_id is None
+    assert span_from_json(_line(parentId="p0")).parent_id == "p0"
+
+
+def test_span_from_json_rejects_negative_start():
+    with pytest.raises(TraceFormatError, match="^line 4: startUs"):
+        span_from_json(_line(startUs=-100), line_no=4)
+    assert span_from_json(_line(startUs=0)).start_us == 0
 
 
 def test_traces_jsonl_file_round_trip(tmp_path):
