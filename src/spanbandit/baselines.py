@@ -26,6 +26,19 @@ from .trace_model import SpanIdentity
 from .utility import UtilityEstimate
 
 
+# Fixed settings of the contenders: the (epsilon, delta) confidence pair of
+# both elimination baselines, and the belief sampler's per-epoch draws per
+# live arm, belief update and exploration floor.
+EPSILON = 0.4
+DELTA = 0.2
+EGE_MAX_ROUNDS = 30
+ABS_DRAWS_PER_ARM = 4
+ABS_LAM = 0.1
+ABS_MODE = "discounted_count"
+ABS_EPSILON = 0.05
+ABS_MAX_EPOCHS = 40
+
+
 class BudgetExhausted(RuntimeError):
     """Raised when a draw request does not fit in the remaining budget."""
 
@@ -120,19 +133,19 @@ class EliminationOutcome:
         return 1.0 - len(self.survivors) / num_arms
 
 
-def _me_halve(
+def _sample_means(
     env: ArmEnvironment,
-    arms: list[int],
-    quota: int,
+    arms: Sequence[int],
+    n: int,
     rng: np.random.Generator,
     budget: SampleBudget,
-) -> list[int]:
+) -> dict[int, float]:
+    """Pay for and draw n samples of each arm in turn; their sample means."""
     means = {}
     for a in arms:
-        budget.charge(quota)
-        means[a] = float(env.draw(a, quota, rng).mean())
-    ranked = sorted(arms, key=lambda a: (-means[a], a))
-    return sorted(ranked[: (len(arms) + 1) // 2])
+        budget.charge(n)
+        means[a] = float(env.draw(a, n, rng).mean())
+    return means
 
 
 def _me_rounds(
@@ -152,7 +165,9 @@ def _me_rounds(
         quota = me_round_quota(eps_l, delta_l)
         if quota_cap is not None:
             quota = min(quota, quota_cap)
-        current = _me_halve(env, current, quota, rng, budget)
+        means = _sample_means(env, current, quota, rng, budget)
+        ranked = sorted(current, key=lambda a: (-means[a], a))
+        current = sorted(ranked[: (len(current) + 1) // 2])
         yield current
         eps_l *= 0.75
         delta_l *= 0.5
@@ -166,7 +181,6 @@ def median_elimination(
     rng: np.random.Generator,
     budget: SampleBudget,
     quota_cap: int | None = None,
-    trail: list[tuple[int, int]] | None = None,
 ) -> int:
     """Halve the arm set on empirical means until one arm remains.
 
@@ -175,25 +189,17 @@ def median_elimination(
     """
     current = sorted(arms)
     for current in _me_rounds(env, current, epsilon, delta, rng, budget, quota_cap):
-        if trail is not None:
-            trail.append((budget.used, len(current)))
+        pass
     return current[0]
 
 
-def me_run(
-    env: ArmEnvironment,
-    budget: SampleBudget,
-    seed: int = 0,
-    epsilon: float = 0.4,
-    delta: float = 0.2,
-    quota_cap: int | None = None,
-) -> EliminationOutcome:
-    """Median elimination as a top-level contender; survivors at abort."""
+def me_run(env: ArmEnvironment, budget: SampleBudget, seed: int = 0) -> EliminationOutcome:
+    """Unscaled median elimination as a top-level contender; survivors at abort."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 4301))))
     arms = list(range(env.num_arms))
     trail = [(0, len(arms))]
     try:
-        for arms in _me_rounds(env, arms, epsilon, delta, rng, budget, quota_cap):
+        for arms in _me_rounds(env, arms, EPSILON, DELTA, rng, budget, None):
             trail.append((budget.used, len(arms)))
     except BudgetExhausted:
         trail.append((budget.used, len(arms)))
@@ -204,10 +210,8 @@ def ege_run(
     env: ArmEnvironment,
     budget: SampleBudget,
     seed: int = 0,
-    delta: float = 0.2,
     quota_cap: int | None = None,
     me_quota_cap: int | None = None,
-    max_rounds: int = 30,
 ) -> EliminationOutcome:
     """Exponential-gap elimination; survivors at abort.
 
@@ -220,16 +224,13 @@ def ege_run(
     trail = [(0, len(arms))]
     r = 1
     try:
-        while len(arms) > 1 and r <= max_rounds:
+        while len(arms) > 1 and r <= EGE_MAX_ROUNDS:
             eps_r = 2.0 ** (-r) / 4.0
-            delta_r = delta / (50.0 * r**3)
+            delta_r = DELTA / (50.0 * r**3)
             quota = ege_round_quota(eps_r, delta_r)
             if quota_cap is not None:
                 quota = min(quota, quota_cap)
-            means = {}
-            for a in arms:
-                budget.charge(quota)
-                means[a] = float(env.draw(a, quota, rng).mean())
+            means = _sample_means(env, arms, quota, rng, budget)
             ref = median_elimination(
                 env, arms, eps_r / 2.0, delta_r, rng, budget, quota_cap=me_quota_cap
             )
@@ -245,13 +246,8 @@ def abs_run(
     env: ArmEnvironment,
     budget: SampleBudget,
     seed: int = 0,
-    draws_per_arm: int = 4,
-    lam: float = 0.1,
-    mode: str = "discounted_count",
     percentile: float = 90.0,
-    epsilon: float = 0.05,
     mc_rows: int = 20_000,
-    max_epochs: int = 40,
 ) -> EliminationOutcome:
     """The belief sampler driving elimination on the same arm interface.
 
@@ -265,21 +261,18 @@ def abs_run(
     """
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 4303))))
     identities = [SpanIdentity(f"arm-{i:03d}", "reward") for i in range(env.num_arms)]
-    store = BeliefStore(lam=lam, mode=mode)
+    store = BeliefStore(lam=ABS_LAM, mode=ABS_MODE)
     survivors = list(range(env.num_arms))
     trail = [(0, len(survivors))]
-    for epoch in range(1, max_epochs + 1):
-        if len(survivors) <= 1 or budget.remaining < draws_per_arm * len(survivors):
+    for epoch in range(1, ABS_MAX_EPOCHS + 1):
+        if len(survivors) <= 1 or budget.remaining < ABS_DRAWS_PER_ARM * len(survivors):
             break
-        means = {}
-        for a in survivors:
-            budget.charge(draws_per_arm)
-            means[a] = float(env.draw(a, draws_per_arm, rng).mean())
+        means = _sample_means(env, survivors, ABS_DRAWS_PER_ARM, rng, budget)
         top = max(means.values())
         estimates = [
             UtilityEstimate(
                 identity=identities[a],
-                sample_count=draws_per_arm,
+                sample_count=ABS_DRAWS_PER_ARM,
                 raw=means[a],
                 normalized=means[a] / top if top > 0 else 0.0,
             )
@@ -288,7 +281,7 @@ def abs_run(
         update_epoch(store, estimates)
         cfg = VitalSetConfig(
             percentile_p=percentile,
-            epsilon=epsilon,
+            epsilon=ABS_EPSILON,
             mc_rows=mc_rows,
             rng_seed=int(np.random.SeedSequence((seed, 4304, epoch)).generate_state(1)[0]),
         )
@@ -307,15 +300,9 @@ class ComparisonConfig:
     budget: int = 2000
     env_kind: str = "skewed"
     seed: int = 0
-    epsilon: float = 0.4
-    delta: float = 0.2
     ege_quota_cap: int = 24
     ege_me_cap: int = 6
-    abs_draws_per_arm: int = 4
-    abs_lam: float = 0.1
-    abs_mode: str = "discounted_count"
     abs_percentile: float = 90.0
-    abs_epsilon: float = 0.05
     abs_mc_rows: int = 20_000
 
 
@@ -341,8 +328,8 @@ class ComparisonResult:
                 "budget": self.config.budget,
                 "envKind": self.config.env_kind,
                 "seed": self.config.seed,
-                "epsilon": self.config.epsilon,
-                "delta": self.config.delta,
+                "epsilon": EPSILON,
+                "delta": DELTA,
                 "egeQuotaCap": self.config.ege_quota_cap,
                 "egeMeCap": self.config.ege_me_cap,
             },
@@ -364,18 +351,11 @@ def compare_elimination(config: ComparisonConfig = ComparisonConfig()) -> Compar
     """Run all three contenders on one environment, one budget each."""
     env = make_arm_env(config.num_arms, config.env_kind, config.seed)
     result = ComparisonResult(config=config, env=env)
-    result.outcomes["median_elimination"] = me_run(
-        env,
-        SampleBudget(config.budget),
-        seed=config.seed,
-        epsilon=config.epsilon,
-        delta=config.delta,
-    )
+    result.outcomes["median_elimination"] = me_run(env, SampleBudget(config.budget), config.seed)
     result.outcomes["exponential_gap"] = ege_run(
         env,
         SampleBudget(config.budget),
         seed=config.seed,
-        delta=config.delta,
         quota_cap=config.ege_quota_cap,
         me_quota_cap=config.ege_me_cap,
     )
@@ -383,11 +363,7 @@ def compare_elimination(config: ComparisonConfig = ComparisonConfig()) -> Compar
         env,
         SampleBudget(config.budget),
         seed=config.seed,
-        draws_per_arm=config.abs_draws_per_arm,
-        lam=config.abs_lam,
-        mode=config.abs_mode,
         percentile=config.abs_percentile,
-        epsilon=config.abs_epsilon,
         mc_rows=config.abs_mc_rows,
     )
     return result

@@ -9,14 +9,14 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from .abs_sampler import VitalSetConfig, build_policy
 from .belief import BeliefStore, BetaBelief
 from .presets import get_preset
-from .simulator import ControllerConfig, RunResult, run_closed_loop, with_seed
+from .simulator import ControllerConfig, EpochMetrics, RunResult, run_closed_loop, with_seed
 from .trace_model import SpanIdentity
 from .version import VERSION
 
@@ -35,6 +35,12 @@ class RunConfig:
     epsilon: float = 0.05
     mc_rows: int = 20_000
 
+    def __post_init__(self) -> None:
+        if not self.seeds:
+            raise ValueError("seeds must name at least one seed")
+        if self.num_epochs < 1:
+            raise ValueError(f"num_epochs must be at least 1, got {self.num_epochs}")
+
     def to_json_dict(self) -> dict:
         d = asdict(self)
         d["seeds"] = list(self.seeds)
@@ -50,14 +56,7 @@ class RunConfig:
         return RunConfig(**kwargs)
 
     def controller(self) -> ControllerConfig:
-        return ControllerConfig(
-            measure=self.measure,
-            lam=self.lam,
-            mode=self.mode,
-            percentile=self.percentile,
-            epsilon=self.epsilon,
-            mc_rows=self.mc_rows,
-        )
+        return ControllerConfig(**{c.name: getattr(self, c.name) for c in fields(ControllerConfig)})
 
 
 def run_one(config: RunConfig, seed: int) -> RunResult:
@@ -77,17 +76,18 @@ class ExperimentResult:
     config: RunConfig
     results: dict[int, RunResult] = field(default_factory=dict)
 
+    def _first_reaching(self, seed: int, threshold: float) -> EpochMetrics | None:
+        return next(
+            (r for r in self.results[seed].rows if r.faulty_probability >= threshold), None
+        )
+
     def traces_to_reach(self, seed: int, threshold: float = 0.9) -> int | None:
-        for row in self.results[seed].rows:
-            if row.faulty_probability >= threshold:
-                return row.samples_seen
-        return None
+        row = self._first_reaching(seed, threshold)
+        return None if row is None else row.samples_seen
 
     def requests_to_reach(self, seed: int, threshold: float = 0.9) -> int | None:
-        for row in self.results[seed].rows:
-            if row.faulty_probability >= threshold:
-                return row.requests_seen
-        return None
+        row = self._first_reaching(seed, threshold)
+        return None if row is None else row.requests_seen
 
     def converged_fraction(self, threshold: float = 0.9, within_traces: int | None = None) -> float:
         hits = 0
@@ -138,20 +138,7 @@ def write_epoch_rows(result: ExperimentResult, path: str) -> None:
     with open(path, "w", newline="") as f:
         f.write(f"# config: {json.dumps(result.config.to_json_dict(), sort_keys=True)}\n")
         writer = csv.writer(f)
-        writer.writerow(
-            [
-                "seed",
-                "epoch",
-                "samples_seen",
-                "requests_seen",
-                "faulty_probability",
-                "fraction_enabled",
-                "top1_hit",
-                "top3_hit",
-                "top5_hit",
-                "inference_ms",
-            ]
-        )
+        writer.writerow(["seed", *(c.name for c in fields(EpochMetrics))])
         for seed in sorted(result.results):
             for row in result.results[seed].rows:
                 writer.writerow(
@@ -214,18 +201,7 @@ def write_sweep_csv(points: list[SweepPoint], config: RunConfig, path: str) -> N
     with open(path, "w", newline="") as f:
         f.write(f"# config: {json.dumps(config.to_json_dict(), sort_keys=True)}\n")
         writer = csv.writer(f)
-        writer.writerow(
-            [
-                "param",
-                "value",
-                "converged_fraction",
-                "mean_traces_to_reach",
-                "mean_requests_to_reach",
-                "mean_cumulative_fraction_enabled",
-                "mean_final_fraction_enabled",
-                "mean_final_faulty_probability",
-            ]
-        )
+        writer.writerow([c.name for c in fields(SweepPoint)])
         for p in points:
             writer.writerow(
                 [
@@ -285,6 +261,8 @@ def bench_inference(
     seed: int = 0,
 ) -> BenchResult:
     """Median wall time to plan one policy from a store of the given size."""
+    if reps < 1:
+        raise ValueError(f"reps must be at least 1, got {reps}")
     store = synthetic_store(num_identities, seed)
     cfg = VitalSetConfig(percentile_p=percentile, epsilon=0.05, mc_rows=mc_rows, rng_seed=seed)
     build_policy(store, cfg)  # warm allocator and caches

@@ -17,6 +17,7 @@ valid trace.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence, Union
@@ -32,6 +33,23 @@ class InvalidTopology(ValueError):
     pass
 
 
+def _check_fields(obj, finite=(), unit=(), non_negative=(), positive=()) -> None:
+    """Raise InvalidTopology naming the first field of `obj` out of its range."""
+    for name in (*finite, *unit, *non_negative, *positive):
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            problem = "be finite"
+        elif name in unit and not 0.0 <= value <= 1.0:
+            problem = "lie in [0, 1]"
+        elif name in non_negative and value < 0.0:
+            problem = "be >= 0"
+        elif name in positive and value <= 0.0:
+            problem = "be > 0"
+        else:
+            continue
+        raise InvalidTopology(f"{type(obj).__name__}.{name} must {problem}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class LatencyModel:
     """Lognormal base latency in microseconds: exp(Normal(mu_log, sigma_log))."""
@@ -40,8 +58,7 @@ class LatencyModel:
     sigma_log: float
 
     def __post_init__(self) -> None:
-        if self.sigma_log < 0:
-            raise InvalidTopology("sigma_log must be non-negative")
+        _check_fields(self, finite=("mu_log",), non_negative=("sigma_log",))
 
     def draw(self, rng: np.random.Generator) -> float:
         return float(rng.lognormal(self.mu_log, self.sigma_log))
@@ -77,6 +94,10 @@ class ServiceTagSpec:
     key: str
     values: tuple[str, ...]
 
+    def __post_init__(self) -> None:
+        if not self.values:
+            raise InvalidTopology(f"ServiceTagSpec.values for {self.service}/{self.key} is empty")
+
 
 @dataclass(frozen=True)
 class TopologySpec:
@@ -84,29 +105,31 @@ class TopologySpec:
 
     An identity may be the callee of several call sites (and of repeated
     call sites); each site becomes its own span instance. The graph must
-    be acyclic and every callee must be declared.
+    be acyclic and every callee must be declared. `ops` indexes the
+    operations by identity.
     """
 
     root: SpanIdentity
     operations: tuple[OperationSpec, ...]
     service_tags: tuple[ServiceTagSpec, ...] = ()
+    ops: dict[SpanIdentity, OperationSpec] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        seen = set()
-        for op in self.operations:
-            if op.identity in seen:
-                raise InvalidTopology(f"operation {op.identity.label()} declared twice")
-            seen.add(op.identity)
-        if self.root not in seen:
+        ops = {op.identity: op for op in self.operations}
+        if len(ops) < len(self.operations):
+            ids = [op.identity for op in self.operations]
+            twice = next(i for i in ids if ids.count(i) > 1)
+            raise InvalidTopology(f"operation {twice.label()} declared twice")
+        if self.root not in ops:
             raise InvalidTopology(f"root {self.root.label()} not declared")
         for op in self.operations:
             for call in op.calls:
-                if call.callee not in seen:
+                if call.callee not in ops:
                     raise InvalidTopology(
                         f"{op.identity.label()} calls undeclared {call.callee.label()}"
                     )
+        object.__setattr__(self, "ops", ops)
         # DFS coloring over the identity graph to reject call cycles.
-        ops = {op.identity: op for op in self.operations}
         color: dict[SpanIdentity, int] = {}
 
         def visit(identity: SpanIdentity) -> None:
@@ -126,12 +149,11 @@ class TopologySpec:
 
     def occurrence_counts(self) -> dict[SpanIdentity, int]:
         """Span instances per identity in one fully-traced request."""
-        ops = {op.identity: op for op in self.operations}
         counts: dict[SpanIdentity, int] = {}
 
         def walk(identity: SpanIdentity, mult: int) -> None:
             counts[identity] = counts.get(identity, 0) + mult
-            for call in ops[identity].calls:
+            for call in self.ops[identity].calls:
                 walk(call.callee, mult)
 
         walk(self.root, 1)
@@ -148,6 +170,11 @@ class RandomDelayAnomaly:
     delay_mean_us: float = 5000.0
     delay_std_us: float = 1000.0
 
+    def __post_init__(self) -> None:
+        _check_fields(
+            self, finite=("delay_mean_us",), unit=("probability",), non_negative=("delay_std_us",)
+        )
+
 
 @dataclass(frozen=True)
 class ContentionAnomaly:
@@ -157,6 +184,15 @@ class ContentionAnomaly:
     service: str
     factor: float = 2.0
     window: tuple[int, int] | None = None
+
+    def __post_init__(self) -> None:
+        _check_fields(self, positive=("factor",))
+        if self.window is not None and not (
+            all(math.isfinite(w) for w in self.window) and self.window[0] <= self.window[1]
+        ):
+            raise InvalidTopology(
+                f"ContentionAnomaly.window must be finite with start <= end, got {self.window!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -175,6 +211,11 @@ class CanaryAnomaly:
     tag_key: str = "service.version"
     canary_value: str = "canary"
     stable_value: str = "stable"
+
+    def __post_init__(self) -> None:
+        _check_fields(
+            self, finite=("delay_mean_us",), unit=("fraction",), non_negative=("delay_std_us",)
+        )
 
 
 AnomalySpec = Union[RandomDelayAnomaly, ContentionAnomaly, CanaryAnomaly]
@@ -233,7 +274,7 @@ class WorkloadSpec:
 
 
 class _Node:
-    __slots__ = ("identity", "self_us", "stages", "duration_us", "start_us", "tags")
+    __slots__ = ("identity", "self_us", "stages", "duration_us", "tags")
 
     def __init__(self, identity: SpanIdentity, self_us: int, stages: list[list["_Node"]], tags: dict[str, str]):
         self.identity = identity
@@ -241,24 +282,11 @@ class _Node:
         self.stages = stages
         self.tags = tags
         self.duration_us = self_us + sum(max(c.duration_us for c in st) for st in stages)
-        self.start_us = 0
 
 
 def _split_gaps(total: int, parts: int) -> list[int]:
     base, rem = divmod(total, parts)
     return [base + (1 if i < rem else 0) for i in range(parts)]
-
-
-def _assign_starts(node: _Node, start: int) -> None:
-    node.start_us = start
-    if not node.stages:
-        return
-    gaps = _split_gaps(node.self_us, len(node.stages) + 1)
-    t = start + gaps[0]
-    for i, stage in enumerate(node.stages):
-        for child in stage:
-            _assign_starts(child, t)
-        t += max(c.duration_us for c in stage) + gaps[i + 1]
 
 
 def generate_request(
@@ -269,7 +297,6 @@ def generate_request(
     *,
     request_index: int = 0,
     sampling_rate: float = 1.0,
-    trace_id: str | None = None,
     ground_truth: GroundTruth | None = None,
     self_times_out: dict[str, int] | None = None,
 ) -> Trace | None:
@@ -284,7 +311,6 @@ def generate_request(
     if rng.random() >= sampling_rate:
         return None
 
-    ops = {op.identity: op for op in topology.operations}
     canary_routed: dict[str, bool] = {}
     for a in anomalies:
         if isinstance(a, CanaryAnomaly):
@@ -294,30 +320,34 @@ def generate_request(
         value = spec.values[int(rng.integers(len(spec.values)))]
         request_tags.setdefault(spec.service, {})[spec.key] = value
 
+    def fired(a: AnomalySpec) -> None:
+        if ground_truth is not None:
+            ground_truth.activations.setdefault(anomaly_label(a), []).append(request_index)
+
+    def extra_delay_us(a: RandomDelayAnomaly | CanaryAnomaly) -> int:
+        # Normal delay truncated at zero.
+        return max(0, int(round(rng.normal(a.delay_mean_us, a.delay_std_us))))
+
     def build(identity: SpanIdentity) -> _Node:
-        op = ops[identity]
+        op = topology.ops[identity]
         base = op.base.draw(rng)
         for a in anomalies:
             if isinstance(a, ContentionAnomaly) and a.service == identity.service:
-                active = a.window is None or (a.window[0] <= request_index < a.window[1])
-                if active:
+                if a.window is None or a.window[0] <= request_index < a.window[1]:
                     base *= a.factor
-                    if ground_truth is not None:
-                        ground_truth.activations.setdefault(anomaly_label(a), []).append(request_index)
+                    fired(a)
         self_us = max(1, int(round(base)))
         tags = dict(request_tags.get(identity.service, {}))
         for a in anomalies:
             if isinstance(a, RandomDelayAnomaly) and a.target == identity:
                 if rng.random() < a.probability:
-                    self_us += max(0, int(round(rng.normal(a.delay_mean_us, a.delay_std_us))))
-                    if ground_truth is not None:
-                        ground_truth.activations.setdefault(anomaly_label(a), []).append(request_index)
+                    self_us += extra_delay_us(a)
+                    fired(a)
             elif isinstance(a, CanaryAnomaly) and a.service == identity.service:
                 if canary_routed[a.service]:
-                    self_us += max(0, int(round(rng.normal(a.delay_mean_us, a.delay_std_us))))
+                    self_us += extra_delay_us(a)
                     tags[a.tag_key] = a.canary_value
-                    if ground_truth is not None:
-                        ground_truth.activations.setdefault(anomaly_label(a), []).append(request_index)
+                    fired(a)
                 else:
                     tags[a.tag_key] = a.stable_value
         stages: list[list[_Node]] = []
@@ -330,25 +360,24 @@ def generate_request(
         return _Node(identity, self_us, stages, tags)
 
     root_node = build(topology.root)
-    _assign_starts(root_node, 0)
 
     # Recording decisions on a forked stream: policy choices cannot perturb
     # the latency draws above.
     rec_rng = np.random.Generator(np.random.PCG64(int(rng.integers(2**63))))
-    tid = trace_id if trace_id is not None else f"t{request_index:07d}"
+    trace_id = f"t{request_index:07d}"
     records: list[SpanRecord] = []
-    counter = 0
 
-    def emit(node: _Node, recorded_parent: str | None) -> None:
-        nonlocal counter
+    # Pre-order: record `node` at start_us, then lay its stages out inside
+    # it, with its self time split into gaps before, between and after them.
+    def emit(node: _Node, recorded_parent: str | None, start_us: int) -> None:
         if recorded_parent is None:
             recorded = True  # the root is always recorded
         else:
             p = policy.probability(node.identity) if policy is not None else 1.0
             recorded = bool(rec_rng.random() < p)
+        parent_for_children = recorded_parent
         if recorded:
-            span_id = f"s{counter:04d}"
-            counter += 1
+            span_id = parent_for_children = f"s{len(records):04d}"
             if self_times_out is not None:
                 # The drawn self time; under a thinning policy the decomposed
                 # self segment of a recorded span may exceed it by whatever
@@ -356,23 +385,25 @@ def generate_request(
                 self_times_out[span_id] = node.self_us
             records.append(
                 SpanRecord(
-                    trace_id=tid,
+                    trace_id=trace_id,
                     span_id=span_id,
                     parent_id=recorded_parent,
                     identity=node.identity,
-                    start_us=node.start_us,
+                    start_us=start_us,
                     duration_us=node.duration_us,
                     tags=node.tags,
                 )
             )
-            parent_for_children = span_id
-        else:
-            parent_for_children = recorded_parent
-        for stage in node.stages:
+        if not node.stages:
+            return
+        gaps = _split_gaps(node.self_us, len(node.stages) + 1)
+        t = start_us + gaps[0]
+        for stage, gap in zip(node.stages, gaps[1:]):
             for child in stage:
-                emit(child, parent_for_children)
+                emit(child, parent_for_children, t)
+            t += max(c.duration_us for c in stage) + gap
 
-    emit(root_node, None)
+    emit(root_node, None, 0)
     return build_trace(records)
 
 
@@ -446,11 +477,6 @@ class RunResult:
     rows: list[EpochMetrics]
     policy: SamplingPolicy
     store: BeliefStore
-    ground_truth: GroundTruth
-    phase_truths: list[tuple[int, GroundTruth]]
-    topology: TopologySpec
-    workload: WorkloadSpec
-    controller: ControllerConfig
 
     def cumulative_fraction_enabled(self) -> float:
         return float(np.mean([r.fraction_enabled for r in self.rows])) if self.rows else 1.0
@@ -473,19 +499,17 @@ def run_closed_loop(
     requests until batch_size traces are sampled, updates beliefs with
     the batch utilities, and publishes the next sampling policy.
     """
-    schedule: list[tuple[int, tuple[AnomalySpec, ...]]]
+    if num_epochs < 1:
+        raise ValueError(f"num_epochs must be at least 1, got {num_epochs}")
     flat = list(anomalies)
     if flat and isinstance(flat[0], tuple):
         schedule = sorted((int(e), tuple(a)) for e, a in flat)  # type: ignore[misc]
     else:
         schedule = [(1, tuple(flat))]  # type: ignore[arg-type]
-    if not schedule or schedule[0][0] > 1:
+    if schedule[0][0] > 1:
         schedule.insert(0, (1, ()))
 
-    phase_truths = [
-        (start, GroundTruth(faulty=faulty_identities(topology, phase)))
-        for start, phase in schedule
-    ]
+    truths = [GroundTruth(faulty=faulty_identities(topology, phase)) for _, phase in schedule]
     weights = topology.occurrence_counts()
     total_weight = sum(weights.values())
     store = BeliefStore(lam=controller.lam, mode=controller.mode)
@@ -500,11 +524,11 @@ def run_closed_loop(
     for epoch in range(1, num_epochs + 1):
         phase_i = max(i for i, (start, _) in enumerate(schedule) if start <= epoch)
         active_anomalies = schedule[phase_i][1]
-        truth = phase_truths[phase_i][1]
+        truth = truths[phase_i]
 
         traces: list[Trace] = []
-        attempts = 0
-        while len(traces) < workload.batch_size and attempts < max_attempts_per_epoch:
+        give_up_at = request_index + max_attempts_per_epoch
+        while len(traces) < workload.batch_size and request_index < give_up_at:
             t = generate_request(
                 topology,
                 active_anomalies,
@@ -515,7 +539,6 @@ def run_closed_loop(
                 ground_truth=truth,
             )
             request_index += 1
-            attempts += 1
             if t is not None:
                 traces.append(t)
         samples_seen += len(traces)
@@ -565,17 +588,7 @@ def run_closed_loop(
             )
         )
 
-    assert policy is not None
-    return RunResult(
-        rows=rows,
-        policy=policy,
-        store=store,
-        ground_truth=phase_truths[-1][1],
-        phase_truths=phase_truths,
-        topology=topology,
-        workload=workload,
-        controller=controller,
-    )
+    return RunResult(rows=rows, policy=policy, store=store)
 
 
 def shift_anomaly(

@@ -54,6 +54,16 @@ class SpanIdentity:
     url: str = ""
 
     def __post_init__(self) -> None:
+        # One test on the ingest path; the loop only names the bad field.
+        if not (
+            isinstance(self.service, str)
+            and isinstance(self.operation, str)
+            and isinstance(self.url, str)
+        ):
+            for name in ("service", "operation", "url"):
+                value = getattr(self, name)
+                if not isinstance(value, str):
+                    raise ValueError(f"span identity {name} must be a string, got {value!r}")
         if not self.service or not self.operation:
             raise ValueError("span identity needs a non-empty service and operation")
 
@@ -289,6 +299,9 @@ def span_from_json(line: str, line_no: int = 0) -> SpanRecord:
     parent_id = obj.get("parentId")
     if parent_id is not None and (not isinstance(parent_id, str) or not parent_id):
         raise TraceFormatError(f"line {line_no}: parentId must be null or a non-empty string")
+    url = obj.get("url", "")
+    if not isinstance(url, str):
+        raise TraceFormatError(f"line {line_no}: url must be a string")
     tags = obj.get("tags", {})
     if not isinstance(tags, dict):
         raise TraceFormatError(f"line {line_no}: tags must be an object")
@@ -296,7 +309,7 @@ def span_from_json(line: str, line_no: int = 0) -> SpanRecord:
         trace_id=obj["traceId"],
         span_id=obj["spanId"],
         parent_id=parent_id,
-        identity=SpanIdentity(obj["service"], obj["operation"], obj.get("url", "")),
+        identity=SpanIdentity(obj["service"], obj["operation"], url),
         start_us=_require_count(obj, "startUs", line_no),
         duration_us=_require_count(obj, "durationUs", line_no),
         tags={str(k): str(v) for k, v in tags.items()},

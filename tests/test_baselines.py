@@ -72,7 +72,7 @@ def test_make_arm_env_deterministic_and_skewed():
 
 def test_unscaled_median_elimination_cannot_move_within_budget():
     env = make_arm_env(50, "skewed", seed=0)
-    outcome = me_run(env, SampleBudget(2000), seed=0, epsilon=0.4, delta=0.2)
+    outcome = me_run(env, SampleBudget(2000), seed=0)
     assert outcome.name == "median_elimination"
     assert len(outcome.survivors) == 50
     assert outcome.samples_used == 2000

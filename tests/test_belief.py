@@ -75,6 +75,14 @@ def test_store_file_with_nan_belief_rejected():
         store_from_json_dict(obj)
 
 
+@pytest.mark.parametrize("name", ["service", "operation", "url"])
+def test_store_file_with_non_string_identity_rejected(name):
+    row = {"service": "s", "operation": "o", "url": "", "alpha": 1.0, "beta": 1.0, name: 5}
+    obj = {"epoch": 1, "lambda": 0.3, "mode": "verbatim_ewma", "beliefs": [row]}
+    with pytest.raises(ValueError, match=name):
+        store_from_json_dict(obj)
+
+
 def test_verbatim_ewma_closed_form():
     # From alpha_0 = 1 with constant utility u:
     # alpha_k = (1-lam)^k + u * (1 - (1-lam)^k), and symmetrically for beta.

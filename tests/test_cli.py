@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from spanbandit import get_preset, save_spec
 from spanbandit.cli import main
 
 
@@ -227,3 +228,46 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "spanbandit" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["experiment", "--preset", "social", "--seeds", "0", "--epochs", "0"], "num_epochs"),
+        (["experiment", "--preset", "social", "--seeds", ","], "seeds"),
+        (["bench-inference", "--identities", "8", "--mc-rows", "100", "--reps", "0"], "reps"),
+    ],
+)
+def test_out_of_range_flag_reports_json_error(argv, field, capsys):
+    rc = main(argv)
+    err = json.loads(capsys.readouterr().err)
+    assert rc == 2
+    assert err["error"] == "ValueError"
+    assert field in err["message"]
+
+
+def test_state_file_with_non_string_identity_reports_json_error(tmp_path, capsys):
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"epoch": 1, "lambda": 0.3, "mode": "verbatim_ewma", "beliefs": [
+        {"service": 5, "operation": "o", "alpha": 1.0, "beta": 1.0},
+        {"service": "s", "operation": "o", "alpha": 1.0, "beta": 1.0},
+    ]}))
+    rc = main(["learn", "--in", str(_simulate(tmp_path)), "--state", str(state)])
+    err = json.loads(capsys.readouterr().err)
+    assert rc == 2
+    assert err["error"] == "ValueError"
+    assert "service" in err["message"]
+
+
+def test_spec_with_infinite_delay_reports_json_error(tmp_path, capsys):
+    preset = get_preset("social")
+    spec = tmp_path / "spec.json"
+    save_spec(preset.topology, preset.anomalies, preset.workload, str(spec))
+    doc = json.loads(spec.read_text())
+    doc["anomalies"][0]["delayMeanUs"] = float("inf")
+    spec.write_text(json.dumps(doc))
+    rc = main(["simulate", "--spec", str(spec), "--requests", "20", "--out", str(tmp_path / "t.jsonl")])
+    err = json.loads(capsys.readouterr().err)
+    assert rc == 2
+    assert err["error"] == "InvalidTopology"
+    assert "delay_mean_us" in err["message"]

@@ -40,6 +40,17 @@ def test_run_config_ignores_unknown_keys():
     assert back.seeds == (1,)
 
 
+@pytest.mark.parametrize("field, value", [("seeds", ()), ("num_epochs", 0), ("num_epochs", -3)])
+def test_run_config_rejects_empty_runs(field, value):
+    with pytest.raises(ValueError, match=field):
+        RunConfig(**{field: value})
+
+
+def test_bench_inference_needs_a_rep():
+    with pytest.raises(ValueError, match="reps"):
+        bench_inference(num_identities=8, mc_rows=100, reps=0)
+
+
 def test_run_one_deterministic_in_seed():
     r1 = run_one(FAST, 0)
     r2 = run_one(FAST, 0)

@@ -1,5 +1,6 @@
 """Synthetic workload generation and the closed control loop."""
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -10,9 +11,11 @@ from spanbandit import (
     ContentionAnomaly,
     ControllerConfig,
     InvalidTopology,
+    LatencyModel,
     OperationSpec,
     RandomDelayAnomaly,
     SamplingPolicy,
+    ServiceTagSpec,
     SpanIdentity,
     TopologySpec,
     WorkloadSpec,
@@ -93,6 +96,50 @@ def test_invalid_topologies_rejected():
         CallSpec(LEAF, mode="fanout")
     with pytest.raises(InvalidTopology):
         latency_from_median_us(100, -0.5)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: LatencyModel(NAN, 0.1), "mu_log"),
+        (lambda: LatencyModel(5.0, INF), "sigma_log"),
+        (lambda: RandomDelayAnomaly(LEAF, probability=NAN), "probability"),
+        (lambda: RandomDelayAnomaly(LEAF, probability=1.5), "probability"),
+        (lambda: RandomDelayAnomaly(LEAF, delay_mean_us=INF), "delay_mean_us"),
+        (lambda: RandomDelayAnomaly(LEAF, delay_std_us=-1.0), "delay_std_us"),
+        (lambda: ContentionAnomaly("db", factor=0.0), "factor"),
+        (lambda: ContentionAnomaly("db", factor=NAN), "factor"),
+        (lambda: ContentionAnomaly("db", window=(300, 100)), "window"),
+        (lambda: ContentionAnomaly("db", window=(0, NAN)), "window"),
+        (lambda: CanaryAnomaly("db", fraction=-0.1), "fraction"),
+        (lambda: CanaryAnomaly("db", delay_mean_us=NAN), "delay_mean_us"),
+        (lambda: CanaryAnomaly("db", delay_std_us=-5.0), "delay_std_us"),
+        (lambda: ServiceTagSpec("db", "shard", ()), "values"),
+    ],
+)
+def test_out_of_range_spec_values_rejected(build, field):
+    with pytest.raises(InvalidTopology, match=field):
+        build()
+
+
+def test_spec_file_with_nan_latency_rejected(tmp_path):
+    preset = get_preset("social")
+    path = tmp_path / "spec.json"
+    save_spec(preset.topology, preset.anomalies, preset.workload, str(path))
+    doc = json.loads(path.read_text())
+    doc["topology"]["operations"][0]["muLog"] = NAN
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InvalidTopology, match="mu_log"):
+        load_spec(str(path))
+
+
+def test_closed_loop_needs_an_epoch():
+    preset = get_preset("social")
+    with pytest.raises(ValueError, match="num_epochs"):
+        run_closed_loop(preset.topology, preset.anomalies, preset.workload, num_epochs=0)
 
 
 def test_latency_model_median():

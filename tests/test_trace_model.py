@@ -208,6 +208,21 @@ def _line(**fields):
     return json.dumps(obj)
 
 
+@pytest.mark.parametrize("url", [7, None, ["u"]])
+def test_span_from_json_rejects_non_string_url(url):
+    with pytest.raises(TraceFormatError, match="^line 3: .*url"):
+        span_from_json(_line(url=url), line_no=3)
+
+
+@pytest.mark.parametrize(
+    "fields, name",
+    [((5, "op", ""), "service"), (("svc", 5, ""), "operation"), (("svc", "op", 7), "url")],
+)
+def test_identity_fields_must_be_strings(fields, name):
+    with pytest.raises(ValueError, match=name):
+        SpanIdentity(*fields)
+
+
 @pytest.mark.parametrize("parent", [5, "", True, ["p"], {"id": "p"}])
 def test_span_from_json_rejects_bad_parent_id(parent):
     with pytest.raises(TraceFormatError, match="^line 7: parentId"):
