@@ -7,21 +7,17 @@ latency decomposition, the belief and policy machinery, a closed-loop
 simulator with presets, elimination baselines, and tag correlation.
 """
 from .abs_sampler import (
-    DrawMatrix,
     EmptyStore,
     InvalidPolicy,
     SamplingPolicy,
     VitalityReport,
     VitalSetConfig,
     build_policy,
-    draw_matrix,
-    finalize_policy,
     load_policy,
     policy_from_json_dict,
     policy_to_json_dict,
     report,
     save_policy,
-    vital_probabilities,
 )
 from .baselines import (
     ArmEnvironment,

@@ -16,7 +16,9 @@ least 1 and a single-identity store gets probability 1.0 exactly.
 
 Drawing is done in a fixed layout of 8 row chunks, each with its own
 seed spawned from the configured seed. The layout defines the random
-stream, so it stays fixed even though the chunks are filled in order.
+stream, so it stays fixed. It also bounds memory: a chunk's candidates
+are counted as soon as it is drawn, so planning holds one chunk of
+draws (1/8 of them) at a time, never the whole mc_rows x S matrix.
 """
 from __future__ import annotations
 
@@ -24,7 +26,6 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -49,7 +50,9 @@ class VitalSetConfig:
     mc_rows defaults to 100k which is comfortably below one second for
     tens of identities; the experiment harness trims it further. Raising
     percentile_p shrinks the candidate set per row (more aggressive
-    instrumentation reduction); epsilon floors every probability.
+    instrumentation reduction); epsilon floors every probability. The
+    rows are drawn in 8 seeded chunks from rng_seed; that layout defines
+    the random stream and bounds planning memory to one chunk of draws.
     """
 
     percentile_p: float = 75.0
@@ -66,56 +69,6 @@ class VitalSetConfig:
             raise ValueError("mc_rows must be positive")
 
 
-class DrawMatrix(NamedTuple):
-    identities: tuple[SpanIdentity, ...]
-    values: np.ndarray  # shape (mc_rows, len(identities))
-
-
-def draw_matrix(store: BeliefStore, cfg: VitalSetConfig) -> DrawMatrix:
-    """Sample an (mc_rows x S) matrix of utilities from the current beliefs.
-
-    Identities are ordered lexicographically; rows are split into 8 fixed
-    chunks seeded independently from cfg.rng_seed, so the same
-    (beliefs, config, seed) triple always yields the same matrix.
-    """
-    if not store.beliefs:
-        raise EmptyStore("no identities to draw for")
-    identities = tuple(sorted(store.beliefs))
-    alphas = np.array([store.beliefs[i].alpha for i in identities])
-    betas = np.array([store.beliefs[i].beta for i in identities])
-
-    n_chunks = min(_DRAW_CHUNKS, cfg.mc_rows)
-    bounds = np.linspace(0, cfg.mc_rows, n_chunks + 1).astype(int)
-    seeds = np.random.SeedSequence(cfg.rng_seed).spawn(n_chunks)
-
-    parts = []
-    for seed, lo, hi in zip(seeds, bounds[:-1], bounds[1:]):
-        rng = np.random.Generator(np.random.PCG64(seed))
-        parts.append(rng.beta(alphas, betas, size=(hi - lo, len(identities))))
-    return DrawMatrix(identities, np.vstack(parts))
-
-
-def vital_probabilities(matrix: DrawMatrix, percentile_p: float) -> dict[SpanIdentity, float]:
-    """Per-identity fraction of rows where its draw met the row's percentile.
-
-    The threshold uses the linear-interpolation percentile of the row's
-    own S values and candidacy is inclusive (value >= threshold). With a
-    single identity the threshold is the value itself, so the vital
-    probability is 1.0.
-    """
-    values = matrix.values
-    n_rows, s = values.shape
-    h = (s - 1) * percentile_p / 100.0
-    k = int(np.floor(h))
-    if k >= s - 1:
-        thresh = values.max(axis=1)
-    else:
-        part = np.partition(values, (k, k + 1), axis=1)
-        thresh = part[:, k] + (h - k) * (part[:, k + 1] - part[:, k])
-    fractions = (values >= thresh[:, None]).mean(axis=0)
-    return {identity: float(fractions[j]) for j, identity in enumerate(matrix.identities)}
-
-
 @dataclass
 class SamplingPolicy:
     """Published per-identity sampling probabilities for one epoch."""
@@ -126,32 +79,53 @@ class SamplingPolicy:
     entries: dict[SpanIdentity, float] = field(default_factory=dict)
     vital: dict[SpanIdentity, float] = field(default_factory=dict)
 
-    def probability(self, identity: SpanIdentity, default: float = 1.0) -> float:
-        """Identities the policy has never scored sample at `default` (1.0):
-        unknown spans stay fully visible until judged."""
-        return self.entries.get(identity, default)
+    def probability(self, identity: SpanIdentity) -> float:
+        """Identities the policy has never scored sample at 1.0: unknown
+        spans stay fully visible until judged."""
+        return self.entries.get(identity, 1.0)
 
     def eliminated(self, identity: SpanIdentity) -> bool:
         return self.vital.get(identity, 1.0) < self.epsilon
 
 
-def finalize_policy(
-    vital: dict[SpanIdentity, float], cfg: VitalSetConfig, epoch: int
-) -> SamplingPolicy:
+def build_policy(store: BeliefStore, cfg: VitalSetConfig) -> SamplingPolicy:
+    """Plan the sampling policy for `store`'s beliefs.
+
+    Identities are ordered lexicographically. Each seeded row chunk is
+    drawn, thresholded and added to a per-identity candidate count in
+    turn. The threshold is the linear-interpolation percentile of the
+    row's own S values; at P = 100, or with one identity, it is the row
+    maximum.
+    """
+    if not store.beliefs:
+        raise EmptyStore("no identities to plan for")
+    identities = sorted(store.beliefs)
+    alphas = np.array([store.beliefs[i].alpha for i in identities])
+    betas = np.array([store.beliefs[i].beta for i in identities])
+    s = len(identities)
+    h = (s - 1) * cfg.percentile_p / 100.0
+    k = int(np.floor(h))
+    kth = (k, min(k + 1, s - 1))
+
+    n_chunks = min(_DRAW_CHUNKS, cfg.mc_rows)
+    bounds = np.linspace(0, cfg.mc_rows, n_chunks + 1).astype(int)
+    seeds = np.random.SeedSequence(cfg.rng_seed).spawn(n_chunks)
+    counts = np.zeros(s, dtype=np.int64)
+    for seed, lo, hi in zip(seeds, bounds[:-1], bounds[1:]):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        values = rng.beta(alphas, betas, size=(hi - lo, s))
+        part = np.partition(values, kth, axis=1)
+        thresh = part[:, k] + (h - k) * (part[:, kth[1]] - part[:, k])
+        counts += (values >= thresh[:, None]).sum(axis=0)
+
+    vital = dict(zip(identities, (counts / cfg.mc_rows).tolist()))
     return SamplingPolicy(
-        epoch=epoch,
+        epoch=store.epoch,
         epsilon=cfg.epsilon,
         percentile=cfg.percentile_p,
-        entries={i: max(v, cfg.epsilon) for i, v in sorted(vital.items())},
-        vital=dict(sorted(vital.items())),
+        entries={i: max(v, cfg.epsilon) for i, v in vital.items()},
+        vital=vital,
     )
-
-
-def build_policy(store: BeliefStore, cfg: VitalSetConfig) -> SamplingPolicy:
-    """draw_matrix + vital_probabilities + finalize_policy in one call."""
-    matrix = draw_matrix(store, cfg)
-    vital = vital_probabilities(matrix, cfg.percentile_p)
-    return finalize_policy(vital, cfg, store.epoch)
 
 
 # --- policy wire format -------------------------------------------------
@@ -264,7 +238,7 @@ class VitalityReport:
         return "\n".join(lines)
 
 
-def report(policy: SamplingPolicy, store: BeliefStore, top_k: int | None = None) -> VitalityReport:
+def report(policy: SamplingPolicy, store: BeliefStore) -> VitalityReport:
     """Rank identities by vital probability (desc), posterior mean, identity.
 
     When every identity holds the identical belief the Monte-Carlo
@@ -302,6 +276,4 @@ def report(policy: SamplingPolicy, store: BeliefStore, top_k: int | None = None)
                 eliminated=policy.eliminated(identity),
             )
         )
-    if top_k is not None:
-        rows = rows[:top_k]
     return VitalityReport(rows=rows, ambiguous=ambiguous)

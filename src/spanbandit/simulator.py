@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence, Union
@@ -33,8 +34,18 @@ class InvalidTopology(ValueError):
     pass
 
 
-def _check_fields(obj, finite=(), unit=(), non_negative=(), positive=()) -> None:
-    """Raise InvalidTopology naming the first field of `obj` out of its range."""
+def _check_fields(obj, finite=(), unit=(), non_negative=(), positive=(), text=()) -> None:
+    """Raise InvalidTopology naming the first field of `obj` out of its range.
+
+    A `text` field holds a non-empty str, or a non-empty tuple of them.
+    """
+    for name in text:
+        value = getattr(obj, name)
+        items = value if isinstance(value, tuple) else (value,)
+        if not (items and all(isinstance(v, str) and v for v in items)):
+            raise InvalidTopology(
+                f"{type(obj).__name__}.{name} must be non-empty text, got {value!r}"
+            )
     for name in (*finite, *unit, *non_negative, *positive):
         value = getattr(obj, name)
         if not math.isfinite(value):
@@ -48,6 +59,13 @@ def _check_fields(obj, finite=(), unit=(), non_negative=(), positive=()) -> None
         else:
             continue
         raise InvalidTopology(f"{type(obj).__name__}.{name} must {problem}, got {value!r}")
+
+
+def _finite_us(value: float, identity: SpanIdentity, what: str) -> int:
+    """`value` rounded to whole microseconds; a non-finite draw names the operation."""
+    if not math.isfinite(value):
+        raise InvalidTopology(f"{identity.label()} drew a non-finite {what} ({value!r})")
+    return int(round(value))
 
 
 @dataclass(frozen=True)
@@ -95,8 +113,7 @@ class ServiceTagSpec:
     values: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if not self.values:
-            raise InvalidTopology(f"ServiceTagSpec.values for {self.service}/{self.key} is empty")
+        _check_fields(self, text=("service", "key", "values"))
 
 
 @dataclass(frozen=True)
@@ -186,12 +203,17 @@ class ContentionAnomaly:
     window: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
-        _check_fields(self, positive=("factor",))
-        if self.window is not None and not (
-            all(math.isfinite(w) for w in self.window) and self.window[0] <= self.window[1]
+        _check_fields(self, positive=("factor",), text=("service",))
+        w = self.window
+        if w is not None and not (
+            isinstance(w, tuple)
+            and len(w) == 2
+            and all(isinstance(x, numbers.Real) and math.isfinite(x) for x in w)
+            and w[0] <= w[1]
         ):
             raise InvalidTopology(
-                f"ContentionAnomaly.window must be finite with start <= end, got {self.window!r}"
+                f"ContentionAnomaly.window must be None or two finite numbers with "
+                f"start <= end, got {w!r}"
             )
 
 
@@ -214,7 +236,11 @@ class CanaryAnomaly:
 
     def __post_init__(self) -> None:
         _check_fields(
-            self, finite=("delay_mean_us",), unit=("fraction",), non_negative=("delay_std_us",)
+            self,
+            finite=("delay_mean_us",),
+            unit=("fraction",),
+            non_negative=("delay_std_us",),
+            text=("service", "tag_key", "canary_value", "stable_value"),
         )
 
 
@@ -232,15 +258,17 @@ def anomaly_label(a: AnomalySpec) -> str:
 def faulty_identities(
     topology: TopologySpec, anomalies: Iterable[AnomalySpec]
 ) -> tuple[SpanIdentity, ...]:
-    out: list[SpanIdentity] = []
+    """The operations the anomalies act on; an anomaly that names none of
+    the topology's operations raises InvalidTopology."""
+    out: set[SpanIdentity] = set()
     for a in anomalies:
         if isinstance(a, RandomDelayAnomaly):
-            targets = [a.target]
+            targets = [a.target] if a.target in topology.ops else []
         else:
             targets = [i for i in topology.identities() if i.service == a.service]
-        for t in targets:
-            if t not in out:
-                out.append(t)
+        if not targets:
+            raise InvalidTopology(f"anomaly {anomaly_label(a)} names no operation of the topology")
+        out.update(targets)
     return tuple(sorted(out))
 
 
@@ -324,9 +352,9 @@ def generate_request(
         if ground_truth is not None:
             ground_truth.activations.setdefault(anomaly_label(a), []).append(request_index)
 
-    def extra_delay_us(a: RandomDelayAnomaly | CanaryAnomaly) -> int:
+    def extra_delay_us(a: RandomDelayAnomaly | CanaryAnomaly, identity: SpanIdentity) -> int:
         # Normal delay truncated at zero.
-        return max(0, int(round(rng.normal(a.delay_mean_us, a.delay_std_us))))
+        return max(0, _finite_us(rng.normal(a.delay_mean_us, a.delay_std_us), identity, "delay"))
 
     def build(identity: SpanIdentity) -> _Node:
         op = topology.ops[identity]
@@ -336,16 +364,16 @@ def generate_request(
                 if a.window is None or a.window[0] <= request_index < a.window[1]:
                     base *= a.factor
                     fired(a)
-        self_us = max(1, int(round(base)))
+        self_us = max(1, _finite_us(base, identity, "latency"))
         tags = dict(request_tags.get(identity.service, {}))
         for a in anomalies:
             if isinstance(a, RandomDelayAnomaly) and a.target == identity:
                 if rng.random() < a.probability:
-                    self_us += extra_delay_us(a)
+                    self_us += extra_delay_us(a, identity)
                     fired(a)
             elif isinstance(a, CanaryAnomaly) and a.service == identity.service:
                 if canary_routed[a.service]:
-                    self_us += extra_delay_us(a)
+                    self_us += extra_delay_us(a, identity)
                     tags[a.tag_key] = a.canary_value
                     fired(a)
                 else:
@@ -658,7 +686,7 @@ def anomaly_from_dict(obj: dict) -> AnomalySpec:
         return ContentionAnomaly(
             service=obj["service"],
             factor=float(obj["factor"]),
-            window=tuple(window) if window else None,
+            window=tuple(window) if isinstance(window, list) else window,
         )
     if kind == "canary":
         return CanaryAnomaly(

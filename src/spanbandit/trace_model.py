@@ -12,7 +12,7 @@ holds without rounding error.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator
 
 
@@ -180,33 +180,16 @@ def build_trace(records: Iterable[SpanRecord], lenient: bool = False) -> Trace:
         # Every span has a resolving parent, so some parent chain loops.
         raise CycleDetected(f"no root span; span {sorted(spans)[0]} sits on a parent cycle")
     root_id = roots[0]
-    if orphans:
-        for sid in orphans:
-            spans[sid] = SpanRecord(
-                trace_id=spans[sid].trace_id,
-                span_id=sid,
-                parent_id=root_id,
-                identity=spans[sid].identity,
-                start_us=spans[sid].start_us,
-                duration_us=spans[sid].duration_us,
-                tags=spans[sid].tags,
-            )
+    for sid in orphans:
+        spans[sid] = replace(spans[sid], parent_id=root_id)
 
-    # Parent-chase with memoized colors to reject cycles.
-    state: dict[str, int] = {}  # 1 = in progress, 2 = reaches root
-    for sid in spans:
-        path = []
-        cur: str | None = sid
-        while cur is not None and state.get(cur) != 2:
-            if state.get(cur) == 1:
-                raise CycleDetected(f"span {cur} sits on a parent cycle")
-            state[cur] = 1
-            path.append(cur)
-            cur = spans[cur].parent_id
-        for p in path:
-            state[p] = 2
-
-    return Trace(trace_id or "", spans, root_id)
+    trace = Trace(trace_id or "", spans, root_id)
+    # One root and every parent resolved: a span the root's preorder misses
+    # sits on a parent cycle or hangs from one.
+    reached = {rec.span_id for rec in trace.preorder()}
+    if len(reached) < len(spans):
+        raise CycleDetected(f"span {min(spans.keys() - reached)} sits on or under a parent cycle")
+    return trace
 
 
 def union_duration(intervals: Iterable[tuple[int, int]]) -> int:

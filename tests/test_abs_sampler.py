@@ -1,4 +1,6 @@
 """Monte-Carlo vital-set estimation and the published sampling policy."""
+import tracemalloc
+
 import pytest
 from scipy import integrate, stats
 
@@ -10,15 +12,13 @@ from spanbandit import (
     SpanIdentity,
     VitalSetConfig,
     build_policy,
-    draw_matrix,
-    finalize_policy,
     load_policy,
     policy_from_json_dict,
     policy_to_json_dict,
     report,
     save_policy,
-    vital_probabilities,
 )
+from spanbandit.experiment import synthetic_store
 
 
 def _store(params, mode="discounted_count", lam=0.3, epoch=7):
@@ -50,8 +50,7 @@ def test_vital_matches_pairwise_win_probability_for_two_spans():
     cfg = VitalSetConfig(percentile_p=75.0, epsilon=0.0, mc_rows=100_000, rng_seed=13)
     for (a1, b1), (a2, b2) in cases:
         store = _store([(a1, b1), (a2, b2)])
-        matrix = draw_matrix(store, cfg)
-        vital = vital_probabilities(matrix, cfg.percentile_p)
+        vital = build_policy(store, cfg).vital
         want = _win_probability(a1, b1, a2, b2)
         got = vital[SpanIdentity("s00", "op")]
         assert abs(got - want) < 0.02
@@ -72,7 +71,7 @@ def test_integer_rank_threshold_with_concentrated_beliefs():
     params = [(2, 800), (2, 600), (2, 400), (600, 2), (800, 2)]
     store = _store(params)
     cfg = VitalSetConfig(percentile_p=75.0, epsilon=0.0, mc_rows=50_000, rng_seed=3)
-    vital = vital_probabilities(draw_matrix(store, cfg), 75.0)
+    vital = build_policy(store, cfg).vital
     vals = [vital[SpanIdentity(f"s{i:02d}", "op")] for i in range(5)]
     assert sum(vals) == pytest.approx(2.0)
     assert vals[3] > 0.99 and vals[4] > 0.99
@@ -82,27 +81,47 @@ def test_integer_rank_threshold_with_concentrated_beliefs():
 def test_percentile_100_keeps_only_row_maxima():
     store = _store([(1, 1), (1, 1), (1, 1)])
     cfg = VitalSetConfig(percentile_p=100.0, epsilon=0.0, mc_rows=30_000, rng_seed=5)
-    vital = vital_probabilities(draw_matrix(store, cfg), 100.0)
+    vital = build_policy(store, cfg).vital
     assert sum(vital.values()) == pytest.approx(1.0)
     for v in vital.values():
         assert abs(v - 1.0 / 3.0) < 0.02
 
 
 def test_epsilon_floor_applied_to_entries_not_vital():
-    vital = {SpanIdentity("a", "op"): 0.001, SpanIdentity("b", "op"): 0.9}
-    cfg = VitalSetConfig(epsilon=0.05)
-    policy = finalize_policy(vital, cfg, epoch=3)
+    # Beta(1, 1000) never outdraws Beta(1000, 1), so its vital probability
+    # is 0 and only its published entry sits at the floor.
+    store = BeliefStore(epoch=3)
+    store.beliefs[SpanIdentity("a", "op")] = BetaBelief(1, 1000)
+    store.beliefs[SpanIdentity("b", "op")] = BetaBelief(1000, 1)
+    policy = build_policy(store, VitalSetConfig(epsilon=0.05, mc_rows=2000))
     assert policy.entries[SpanIdentity("a", "op")] == 0.05
-    assert policy.entries[SpanIdentity("b", "op")] == 0.9
-    assert policy.vital[SpanIdentity("a", "op")] == 0.001
+    assert policy.entries[SpanIdentity("b", "op")] == 1.0
+    assert policy.vital[SpanIdentity("a", "op")] == 0.0
     assert policy.eliminated(SpanIdentity("a", "op"))
     assert not policy.eliminated(SpanIdentity("b", "op"))
     assert policy.probability(SpanIdentity("zzz", "op")) == 1.0
+    assert policy.epoch == 3
 
 
 def test_empty_store_raises():
     with pytest.raises(EmptyStore):
-        draw_matrix(BeliefStore(), VitalSetConfig())
+        build_policy(BeliefStore(), VitalSetConfig())
+
+
+def test_planning_holds_one_chunk_of_draws_at_a_time():
+    # 564 identities by 10k rows: the full draw matrix alone is 43 MB, so a
+    # plan that stacks it (or a partitioned copy of it) peaks above that.
+    store = synthetic_store(564, 0)
+    cfg = VitalSetConfig(mc_rows=10_000, rng_seed=0)
+    build_policy(store, cfg)  # warm caches outside the measurement
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        build_policy(store, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000 * 564 * 8
 
 
 def test_config_validation():

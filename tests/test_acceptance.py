@@ -39,7 +39,6 @@ from spanbandit import (
     compare_elimination,
     correlation_report,
     decompose,
-    draw_matrix,
     generate_request,
     get_preset,
     pool_self_segments,
@@ -49,7 +48,6 @@ from spanbandit import (
     simulate_workload,
     sweep,
     update_epoch,
-    vital_probabilities,
     with_seed,
 )
 from spanbandit import experiment
@@ -397,7 +395,7 @@ def test_criterion_8_property_suites():
         store.beliefs[SpanIdentity("x", "op")] = BetaBelief(a1, b1)
         store.beliefs[SpanIdentity("y", "op")] = BetaBelief(a2, b2)
         cfg = VitalSetConfig(percentile_p=75.0, epsilon=0.0, mc_rows=100_000, rng_seed=17)
-        vital = vital_probabilities(draw_matrix(store, cfg), 75.0)
+        vital = build_policy(store, cfg).vital
         d1 = stats.beta(a1, b1)
         d2 = stats.beta(a2, b2)
         want, _ = integrate.quad(lambda v: d1.pdf(v) * d2.cdf(v), 0.0, 1.0, limit=200)

@@ -3,7 +3,15 @@ import json
 
 import pytest
 
-from spanbandit import get_preset, save_spec
+from spanbandit import (
+    CanaryAnomaly,
+    ContentionAnomaly,
+    RandomDelayAnomaly,
+    SpanIdentity,
+    WorkloadSpec,
+    get_preset,
+    save_spec,
+)
 from spanbandit.cli import main
 
 
@@ -271,3 +279,47 @@ def test_spec_with_infinite_delay_reports_json_error(tmp_path, capsys):
     assert rc == 2
     assert err["error"] == "InvalidTopology"
     assert "delay_mean_us" in err["message"]
+
+
+# (anomaly index, key, value, text the error must name) on a spec holding
+# contention on post-store, a random delay on text/process and a canary
+# of media.
+BAD_SPEC_VALUES = [
+    (0, "service", "gatewya", "contention:gatewya"),
+    (0, "service", 5, "service"),
+    (1, "target", {"service": "text", "operation": "proces"}, "random_delay:text/proces"),
+    (2, "service", "nobody", "canary:nobody"),
+    (0, "window", [5], "window"),
+    (0, "window", ["a", "b"], "window"),
+    (0, "window", [1, 2, 3], "window"),
+    (0, "factor", 1e308, "post-store/"),
+    (1, "delayMeanUs", 1e308, "text/process"),
+    (2, "tagKey", "", "tag_key"),
+    (2, "canaryValue", 7, "canary_value"),
+    (None, "muLog", 800.0, "gateway/compose-post"),
+]
+
+
+@pytest.mark.parametrize("index, key, value, named", BAD_SPEC_VALUES)
+def test_bad_spec_value_reports_json_error(tmp_path, capsys, index, key, value, named):
+    anomalies = (
+        ContentionAnomaly("post-store", 3.0, (0, 300)),
+        RandomDelayAnomaly(SpanIdentity("text", "process"), 1.0),
+        CanaryAnomaly("media", 0.4),
+    )
+    spec = tmp_path / "spec.json"
+    save_spec(get_preset("social").topology, anomalies, WorkloadSpec(num_requests=30), str(spec))
+    doc = json.loads(spec.read_text())
+    if index is None:
+        for op in doc["topology"]["operations"]:
+            op[key] = value
+    else:
+        doc["anomalies"][index][key] = value
+        if key == "delayMeanUs":
+            doc["anomalies"][index]["delayStdUs"] = value
+    spec.write_text(json.dumps(doc))
+    rc = main(["simulate", "--spec", str(spec), "--out", str(tmp_path / "t.jsonl")])
+    err = json.loads(capsys.readouterr().err)
+    assert rc == 2
+    assert err["error"] == "InvalidTopology"
+    assert named in err["message"]

@@ -20,8 +20,9 @@ import json
 import numpy as np
 import pytest
 
+from spanbandit.abs_sampler import VitalSetConfig, build_policy, policy_to_json_dict
 from spanbandit.cli import main
-from spanbandit.experiment import RunConfig, run_one
+from spanbandit.experiment import RunConfig, run_one, synthetic_store
 from spanbandit.presets import get_preset
 from spanbandit.simulator import (
     CanaryAnomaly,
@@ -60,6 +61,23 @@ GOLDEN = {
     "truth-mixed-spec": "e4e7f83a7df6e0daf9e5d30ee2b77b41de39d31862640b7559334d92ad6bccf6",
     "truth-rail": "e0e48f247d655840312f4cc7431a9076b6509c51ba74ce4a2c0e4d2561e46c19",
     "truth-social": "e373a97fb3035288d2e4baa274b3644921f0d547da2713848c77d49e1ee721a2",
+}
+
+# Policies planned straight from synthetic stores: the benchmark's shape,
+# the row-maximum threshold with uneven chunk bounds, fewer rows than
+# chunks, and a single identity.
+PLANNER_CASES = {
+    "plan-564x10000-p75": ((564, 0), dict(mc_rows=10_000, rng_seed=0)),
+    "plan-7x999-p100": ((7, 1), dict(percentile_p=100.0, mc_rows=999)),
+    "plan-12x3-p50": ((12, 4), dict(percentile_p=50.0, mc_rows=3)),
+    "plan-1x1000": ((1, 0), dict(mc_rows=1000)),
+}
+
+PLANNER_GOLDEN = {
+    "plan-12x3-p50": "a494ea066f2c095c9c72cdec1db9f81711e57dbd365e91d3cee58cfc4ba90df7",
+    "plan-1x1000": "b8dc169d89228d3c6ee2a267ec0b6c14cba169f0278ec3f6e197e72de99fb69f",
+    "plan-564x10000-p75": "97a4909c487adccc3dc7e04d306d7ffee2196740aafbefe0c5443d8761466535",
+    "plan-7x999-p100": "bfe06fbc417d6987ddc5ae5e3f5dee88f1ad3b9ec9da0b1a1c23fc18d71d647b",
 }
 
 # Contention, random delay and canary routing at once, head-sampled: the
@@ -186,3 +204,10 @@ def test_mixed_spec_fires_every_anomaly(digests, golden_dir):
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_golden_output(digests, case):
     assert digests[case] == GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", sorted(PLANNER_CASES))
+def test_golden_policy(case):
+    store_args, knobs = PLANNER_CASES[case]
+    policy = build_policy(synthetic_store(*store_args), VitalSetConfig(**knobs))
+    assert _sha_json(policy_to_json_dict(policy)) == PLANNER_GOLDEN[case]

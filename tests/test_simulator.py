@@ -1,6 +1,7 @@
 """Synthetic workload generation and the closed control loop."""
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from spanbandit import (
     simulate_workload,
     with_seed,
 )
-from spanbandit.simulator import faulty_identities, request_rng
+from spanbandit.simulator import anomaly_label, faulty_identities, request_rng
 
 ROOT = SpanIdentity("web", "handle")
 MID = SpanIdentity("svc", "mid")
@@ -118,6 +119,20 @@ NAN, INF = float("nan"), float("inf")
         (lambda: CanaryAnomaly("db", delay_mean_us=NAN), "delay_mean_us"),
         (lambda: CanaryAnomaly("db", delay_std_us=-5.0), "delay_std_us"),
         (lambda: ServiceTagSpec("db", "shard", ()), "values"),
+        (lambda: ContentionAnomaly("db", window=(5,)), "window"),
+        (lambda: ContentionAnomaly("db", window=("a", "b")), "window"),
+        (lambda: ContentionAnomaly("db", window=(1, 2, 3)), "window"),
+        (lambda: ContentionAnomaly("db", window=5), "window"),
+        (lambda: ContentionAnomaly(5), "service"),
+        (lambda: ContentionAnomaly(""), "service"),
+        (lambda: CanaryAnomaly(None), "service"),
+        (lambda: CanaryAnomaly("db", tag_key=""), "tag_key"),
+        (lambda: CanaryAnomaly("db", canary_value=3), "canary_value"),
+        (lambda: CanaryAnomaly("db", stable_value=""), "stable_value"),
+        (lambda: ServiceTagSpec(5, "shard", ("a",)), "service"),
+        (lambda: ServiceTagSpec("db", "", ("a",)), "key"),
+        (lambda: ServiceTagSpec("db", "shard", ("a", "")), "ServiceTagSpec.values"),
+        (lambda: ServiceTagSpec("db", "shard", (2,)), "ServiceTagSpec.values"),
     ],
 )
 def test_out_of_range_spec_values_rejected(build, field):
@@ -134,6 +149,51 @@ def test_spec_file_with_nan_latency_rejected(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(InvalidTopology, match="mu_log"):
         load_spec(str(path))
+
+
+# Each names nothing in the social topology: a typo in an operation, in a
+# service, and a service that does not exist.
+UNKNOWN_TARGETS = (
+    RandomDelayAnomaly(SpanIdentity("text", "proces")),
+    ContentionAnomaly("gatewya", 3.0),
+    CanaryAnomaly("nobody"),
+)
+
+
+@pytest.mark.parametrize("anomaly", UNKNOWN_TARGETS, ids=anomaly_label)
+def test_closed_loop_rejects_anomaly_naming_no_operation(anomaly):
+    social = get_preset("social")
+    workload = WorkloadSpec(num_requests=50, batch_size=10, rng_seed=2)
+    with pytest.raises(InvalidTopology, match=re.escape(anomaly_label(anomaly))):
+        run_closed_loop(social.topology, (anomaly,), workload, ControllerConfig(mc_rows=500),
+                        num_epochs=2)
+    # A later phase of a schedule is checked before the first epoch runs.
+    schedule = [(1, social.anomalies), (2, (anomaly,))]
+    with pytest.raises(InvalidTopology, match=re.escape(anomaly_label(anomaly))):
+        run_closed_loop(social.topology, schedule, workload, ControllerConfig(mc_rows=500),
+                        num_epochs=2)
+
+
+@pytest.mark.parametrize("anomaly", UNKNOWN_TARGETS, ids=anomaly_label)
+def test_simulate_workload_rejects_anomaly_naming_no_operation(anomaly):
+    social = get_preset("social")
+    with pytest.raises(InvalidTopology, match=re.escape(anomaly_label(anomaly))):
+        simulate_workload(social.topology, (anomaly,), WorkloadSpec(num_requests=5))
+
+
+@pytest.mark.parametrize(
+    "anomalies, base",
+    [
+        ((), LatencyModel(800.0, 0.1)),
+        ((ContentionAnomaly("db", 1e308),), latency_from_median_us(200, 0.5)),
+        ((RandomDelayAnomaly(LEAF, 1.0, 1e308, 1e308),), latency_from_median_us(200, 0.5)),
+        ((CanaryAnomaly("db", 1.0, 1e308, 1e308),), latency_from_median_us(200, 0.5)),
+    ],
+)
+def test_non_finite_draw_names_the_operation(anomalies, base):
+    topo = TopologySpec(root=LEAF, operations=(OperationSpec(LEAF, base),))
+    with pytest.raises(InvalidTopology, match=re.escape(LEAF.label())):
+        simulate_workload(topo, anomalies, WorkloadSpec(num_requests=20, rng_seed=4))
 
 
 def test_closed_loop_needs_an_epoch():

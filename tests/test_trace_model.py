@@ -146,6 +146,16 @@ def test_build_trace_rejects_duplicates_roots_orphans_cycles():
         build_trace([_span("a", "b", 0, 10), _span("b", "a", 0, 10)])
 
 
+def test_build_trace_rejects_cycle_detached_from_root():
+    # "b" and "c" parent each other and "d" hangs off the loop; all resolve.
+    recs = [_span("a", None, 0, 10), _span("b", "c", 0, 10), _span("c", "b", 0, 10),
+            _span("d", "c", 0, 10)]
+    with pytest.raises(CycleDetected, match="span [bcd] "):
+        build_trace(recs)
+    with pytest.raises(CycleDetected):
+        build_trace(recs, lenient=True)
+
+
 def test_build_trace_lenient_reparents_orphan():
     t = build_trace(
         [_span("a", None, 0, 100, WEB), _span("b", "ghost", 5, 10)],
