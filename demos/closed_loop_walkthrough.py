@@ -2,8 +2,8 @@
 
 Each epoch: sample a batch of traces under the current policy, score
 per-identity self-time variance, fold the normalized scores into the
-Beta beliefs, and publish the next policy from a Monte-Carlo vital-set
-pass. Watch the injected fault's sampling probability climb while the
+Beta beliefs, and publish the next policy from the vital-set
+planner. Watch the injected fault's sampling probability climb while the
 total instrumentation paid for falls.
 """
 import argparse
@@ -29,7 +29,7 @@ def main():
         preset.topology,
         preset.anomalies,
         with_seed(preset.workload, args.seed),
-        ControllerConfig(mc_rows=20_000),
+        ControllerConfig(),
         num_epochs=args.epochs,
     )
 

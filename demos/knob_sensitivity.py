@@ -11,7 +11,7 @@ Five seeds here for speed; the acceptance suite runs twenty.
 """
 from spanbandit import RunConfig, sweep
 
-CFG = RunConfig(preset="social", seeds=(0, 1, 2, 3, 4), num_epochs=20, mc_rows=20_000)
+CFG = RunConfig(preset="social", seeds=(0, 1, 2, 3, 4), num_epochs=20)
 
 
 def show(points, value_fmt, column):

@@ -1,8 +1,8 @@
 """Span-level adaptive trace sampling.
 
-Beliefs over per-span utility drive a Monte-Carlo sampling policy; the
-policy decides which spans keep reporting; the surviving spans feed the
-next belief update. The package bundles the trace data model, the
+Beliefs over per-span utility drive a probability-matching sampling
+policy; the policy decides which spans keep reporting; the surviving
+spans feed the next belief update. The package bundles the trace data model, the
 latency decomposition, the belief and policy machinery, a closed-loop
 simulator with presets, elimination baselines, and tag correlation.
 """

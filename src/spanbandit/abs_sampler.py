@@ -1,30 +1,41 @@
-"""Monte-Carlo vital-set sampler: beliefs in, sampling policy out.
+"""Vital-set planner: beliefs in, sampling policy out.
 
-Each Monte-Carlo row draws one utility per identity from its Beta
-belief, takes the row's P-th percentile (linear interpolation across the
-row's values), and marks every identity at or above that threshold as a
-vital candidate. An identity's vital probability is the fraction of rows
-in which it was a candidate, i.e. a probability-matching estimate of
-"this span belongs to the top (100-P)% of utilities". The published
-sampling probability is max(vital, epsilon): the epsilon floor keeps a
-trickle of observations flowing so a span whose behavior changes later
-can still be noticed.
+An identity's vital probability is the probability that its utility,
+drawn from its Beta belief, lies at or above the P-th percentile
+(linear interpolation) of all S identities' draws: a probability-matching
+estimate of "this span belongs to the top (100-P)% of utilities". The
+published sampling probability is max(vital, epsilon): the epsilon floor
+keeps a trickle of observations flowing so a span whose behavior changes
+later can still be noticed.
 
-The inclusive >= candidate rule guarantees at least one candidate per
-row (the row maximum always qualifies), so vital probabilities sum to at
-least 1 and a single-identity store gets probability 1.0 exactly.
+With h = (S-1)P/100 and k = floor(h), the percentile of S distinct draws
+lies strictly between the (k+1)-th and (k+2)-th smallest when h > k, and
+on the (k+1)-th smallest when h = k. So identity j is vital exactly when
+at least m others fall below it, m = k+1 or k, and every draw has S-m
+vital identities. The planner computes
 
-Drawing is done in a fixed layout of 8 row chunks, each with its own
-seed spawned from the configured seed. The layout defines the random
-stream, so it stays fixed. It also bounds memory: a chunk's candidates
-are counted as soon as it is drawn, so planning holds one chunk of
-draws (1/8 of them) at a time, never the whole mc_rows x S matrix.
+    vital_j = integral of P(#{i != j : X_i < v} >= m) dF_j(v)
+
+by quadrature: F_j is the regularized incomplete beta, the count is
+Poisson-binomial with success probabilities F_i(v), and each identity is
+divided back out of the all-identity count (Hong 2013, CSDA 59). The
+result is a pure function of the beliefs, P and epsilon: no random
+draws, no seed.
+
+The grid is GRID_BINS uniform bins over [0, 1], with TAIL_NODES more
+nodes inside each end bin at 1/GRID_BINS raised to the powers
+TAIL_POWER, TAIL_POWER**2, ... (mirrored near 1). The tail nodes matter:
+a belief with alpha or beta well below 1, which the verbatim EWMA update
+produces for every span it rarely scores, holds most of its mass in an
+end bin, spread over many orders of magnitude of v, and ranking such
+spans against each other needs nodes at those magnitudes.
 """
 from __future__ import annotations
 
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +43,30 @@ import numpy as np
 from .belief import BeliefStore, posterior_variance, write_json
 from .trace_model import SpanIdentity
 
-_DRAW_CHUNKS = 8
+GRID_BINS = 64
+TAIL_NODES = 12
+TAIL_POWER = 1.4
+# A belief with alpha + beta above this has a standard deviation below
+# 5e-4, a thirtieth of a uniform bin; larger sums are scaled down to it
+# (mean kept), which bounds the continued fraction's steps.
+MAX_CONCENTRATION = 1e6
+_CF_EPS = 1e-15
+_CF_TINY = 1e-300
+_CF_MAX_STEPS = 10_000
+_lgamma = np.vectorize(math.lgamma, otypes=[float])
+
+
+def _grid() -> tuple[np.ndarray, np.ndarray]:
+    """The interior grid nodes x, ascending, and 1 - x, each exact where it is tiny."""
+    tail = (1.0 / GRID_BINS) ** (TAIL_POWER ** np.arange(TAIL_NODES, 0, -1))
+    half = np.concatenate([tail, np.arange(1, GRID_BINS // 2 + 1) / GRID_BINS])
+    return (
+        np.concatenate([half, 1.0 - half[-2::-1]]),
+        np.concatenate([1.0 - half, half[-2::-1]]),
+    )
+
+
+_GRID = _grid()
 
 
 class EmptyStore(ValueError):
@@ -45,28 +79,20 @@ class InvalidPolicy(ValueError):
 
 @dataclass(frozen=True)
 class VitalSetConfig:
-    """Knobs for the Monte-Carlo policy construction.
+    """The vital-set percentile P and the exploration floor epsilon.
 
-    mc_rows defaults to 100k which is comfortably below one second for
-    tens of identities; the experiment harness trims it further. Raising
-    percentile_p shrinks the candidate set per row (more aggressive
-    instrumentation reduction); epsilon floors every probability. The
-    rows are drawn in 8 seeded chunks from rng_seed; that layout defines
-    the random stream and bounds planning memory to one chunk of draws.
+    Raising percentile_p shrinks the vital set (more aggressive
+    instrumentation reduction); epsilon floors every probability.
     """
 
     percentile_p: float = 75.0
     epsilon: float = 0.05
-    mc_rows: int = 100_000
-    rng_seed: int = 0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.percentile_p <= 100.0:
             raise InvalidPolicy(f"percentile_p must lie in (0, 100], got {self.percentile_p!r}")
         if not 0.0 <= self.epsilon < 1.0:
             raise InvalidPolicy(f"epsilon must lie in [0, 1), got {self.epsilon!r}")
-        if self.mc_rows < 1:
-            raise ValueError("mc_rows must be positive")
 
 
 @dataclass
@@ -88,37 +114,146 @@ class SamplingPolicy:
         return self.vital.get(identity, 1.0) < self.epsilon
 
 
+def _nonzero(v: np.ndarray) -> np.ndarray:
+    return np.where(np.abs(v) < _CF_TINY, _CF_TINY, v)
+
+
+def _beta_cf(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The incomplete beta's continued fraction, by modified Lentz.
+
+    Numerical Recipes (3rd ed.) section 6.4, on flat arrays. An element
+    whose last factor is within _CF_EPS of 1 has converged; converged
+    elements leave the working set once they are at least half of it.
+    """
+    out = np.empty_like(x)
+    live = np.arange(x.size)
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+    c = np.ones_like(x)
+    d = 1.0 / _nonzero(1.0 - qab * x / qap)
+    h = d.copy()
+    for step in range(1, _CF_MAX_STEPS + 1):
+        m2 = 2.0 * step
+        aa = step * (b - step) * x / ((qam + m2) * (a + m2))
+        d = 1.0 / _nonzero(1.0 + aa * d)
+        c = _nonzero(1.0 + aa / c)
+        h *= d * c
+        aa = -(a + step) * (qab + step) * x / ((a + m2) * (qap + m2))
+        d = 1.0 / _nonzero(1.0 + aa * d)
+        c = _nonzero(1.0 + aa / c)
+        delta = d * c
+        h *= delta
+        done = np.abs(delta - 1.0) <= _CF_EPS
+        if 2 * np.count_nonzero(done) >= done.size:
+            out[live[done]] = h[done]
+            keep = ~done
+            live, a, b, x, qab, qap, qam, c, d, h = (
+                v[keep] for v in (live, a, b, x, qab, qap, qam, c, d, h)
+            )
+            if not live.size:
+                break
+    out[live] = h
+    return out
+
+
+def beta_cdf(alpha, beta, x, x_comp) -> np.ndarray:
+    """The regularized incomplete beta I_x(alpha, beta) for 0 < x < 1.
+
+    x_comp is 1 - x, passed separately so that x near 1 keeps its
+    precision. Arguments broadcast; log B(alpha, beta) is taken once per
+    (alpha, beta) element before broadcasting against x. Where
+    x > (alpha+1)/(alpha+beta+2) the fraction is evaluated for
+    1 - I_{1-x}(beta, alpha), where it converges fast.
+    """
+    alpha, beta = np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float)
+    log_norm = _lgamma(alpha + beta) - _lgamma(alpha) - _lgamma(beta)
+    arrays = np.broadcast_arrays(alpha, beta, x, x_comp, log_norm)
+    a, b, x, xc, log_norm = (v.ravel() for v in arrays)
+    flip = x > (a + 1.0) / (a + b + 2.0)
+    a, b = np.where(flip, b, a), np.where(flip, a, b)
+    x, xc = np.where(flip, xc, x), np.where(flip, x, xc)
+    tail = np.exp(log_norm + a * np.log(x) + b * np.log(xc)) / a * _beta_cf(a, b, x)
+    return np.where(flip, 1.0 - tail, tail).reshape(arrays[0].shape)
+
+
+def _count_pmf(p: np.ndarray) -> np.ndarray:
+    """pmf[n, g]: the chance that exactly n of the identities in p lie below bin g."""
+    pmf = np.zeros((p.shape[0] + 1, p.shape[1]))
+    pmf[0] = 1.0
+    moved = np.empty_like(pmf)
+    for i, (p_i, q_i) in enumerate(zip(p, 1.0 - p)):
+        np.multiply(pmf[: i + 1], p_i, out=moved[: i + 1])
+        pmf[: i + 2] *= q_i
+        pmf[1 : i + 2] += moved[: i + 1]
+    return pmf
+
+
+def _others_at_least(p: np.ndarray, m: int) -> np.ndarray:
+    """P(#{i != j : X_i below} >= m) for each identity j and bin g.
+
+    p[i, g] is the chance that identity i lies below bin g. The
+    Poisson-binomial pmf of the count below is built over all S
+    identities, as the bin-by-bin convolution of its two halves' pmfs
+    (half the cost of one pass over all S); identity j is then divided
+    back out by a Horner sum, forward over the pmf's prefix sums where
+    p <= 1/2 and backward over its suffix sums where p > 1/2, each the
+    numerically stable direction.
+    """
+    s = p.shape[0]
+    q = 1.0 - p
+    low, high = _count_pmf(p[: s // 2]), _count_pmf(p[s // 2 :])
+    pmf = np.stack([np.convolve(low[:, g], high[:, g]) for g in range(p.shape[1])], axis=1)
+    forward = p <= 0.5
+    q_fwd = np.where(forward, q, 1.0)
+    p_bwd = np.where(forward, 1.0, p)
+
+    ratio = np.where(forward, -p / q_fwd, 0.0)
+    acc = np.zeros_like(p)
+    for at_most in np.cumsum(pmf[:m], axis=0):  # P(N <= n), n = 0 .. m-1
+        acc *= ratio
+        acc += at_most
+    fewer = acc / q_fwd  # P(others < m), read where forward
+
+    ratio = np.where(forward, 0.0, -q / p_bwd)
+    acc = np.zeros_like(p)
+    for at_least in np.cumsum(pmf[s:m:-1], axis=0):  # P(N >= n), n = S .. m+1
+        acc *= ratio
+        acc += at_least
+    return np.clip(np.where(forward, 1.0 - fewer, acc / p_bwd), 0.0, 1.0)
+
+
 def build_policy(store: BeliefStore, cfg: VitalSetConfig) -> SamplingPolicy:
     """Plan the sampling policy for `store`'s beliefs.
 
-    Identities are ordered lexicographically. Each seeded row chunk is
-    drawn, thresholded and added to a per-identity candidate count in
-    turn. The threshold is the linear-interpolation percentile of the
-    row's own S values; at P = 100, or with one identity, it is the row
-    maximum.
+    Identities are ordered lexicographically. In each grid bin, identity
+    i lies below identity j with the mean of i's CDF at the bin's two
+    edges; weighting P(at least m others below) by j's mass in each bin
+    gives vital_j. The vital values are then rescaled to sum to S - m
+    exactly, as every draw's vital set does: the vital mass is scaled
+    down when it overshoots, the non-vital mass when it falls short, so
+    every value stays within [0, 1].
     """
     if not store.beliefs:
         raise EmptyStore("no identities to plan for")
     identities = sorted(store.beliefs)
     alphas = np.array([store.beliefs[i].alpha for i in identities])
     betas = np.array([store.beliefs[i].beta for i in identities])
+    shrink = np.minimum(1.0, MAX_CONCENTRATION / (alphas + betas))
     s = len(identities)
     h = (s - 1) * cfg.percentile_p / 100.0
-    k = int(np.floor(h))
-    kth = (k, min(k + 1, s - 1))
+    k = math.floor(h)
+    m = k + 1 if h > k else k
 
-    n_chunks = min(_DRAW_CHUNKS, cfg.mc_rows)
-    bounds = np.linspace(0, cfg.mc_rows, n_chunks + 1).astype(int)
-    seeds = np.random.SeedSequence(cfg.rng_seed).spawn(n_chunks)
-    counts = np.zeros(s, dtype=np.int64)
-    for seed, lo, hi in zip(seeds, bounds[:-1], bounds[1:]):
-        rng = np.random.Generator(np.random.PCG64(seed))
-        values = rng.beta(alphas, betas, size=(hi - lo, s))
-        part = np.partition(values, kth, axis=1)
-        thresh = part[:, k] + (h - k) * (part[:, kth[1]] - part[:, k])
-        counts += (values >= thresh[:, None]).sum(axis=0)
-
-    vital = dict(zip(identities, (counts / cfg.mc_rows).tolist()))
+    cdf = np.zeros((s, _GRID[0].size + 2))
+    cdf[:, -1] = 1.0
+    cdf[:, 1:-1] = beta_cdf((alphas * shrink)[:, None], (betas * shrink)[:, None], *_GRID)
+    p = 0.5 * (cdf[:, :-1] + cdf[:, 1:])
+    vital = (np.diff(cdf, axis=1) * _others_at_least(p, m)).sum(axis=1)
+    total, target = vital.sum(), float(s - m)
+    if total >= target:
+        vital = vital * target / total
+    else:
+        vital = 1.0 - (1.0 - vital) * (m / (s - total))
+    vital = dict(zip(identities, np.clip(vital, 0.0, 1.0).tolist()))
     return SamplingPolicy(
         epoch=store.epoch,
         epsilon=cfg.epsilon,
@@ -241,11 +376,12 @@ class VitalityReport:
 def report(policy: SamplingPolicy, store: BeliefStore) -> VitalityReport:
     """Rank identities by vital probability (desc), posterior mean, identity.
 
-    When every identity holds the identical belief the Monte-Carlo
-    fractions differ only by sampling noise, so the ranking would be
-    arbitrary: the report then falls back to identity order and is
-    flagged ambiguous. Elimination (vital < epsilon) is advisory: flagged
-    identities stay in the policy at the epsilon floor, never removed.
+    When every identity holds the identical belief, a policy planned from
+    them gives every identity the same vital probability (to the bit) and
+    mean, so the ranking falls back to identity order, carries no
+    information, and the report is flagged ambiguous.
+    Elimination (vital < epsilon) is advisory: flagged identities stay in
+    the policy at the epsilon floor, never removed.
     """
     params = {
         identity: (store.beliefs[identity].alpha, store.beliefs[identity].beta)
@@ -255,8 +391,6 @@ def report(policy: SamplingPolicy, store: BeliefStore) -> VitalityReport:
     ambiguous = len(set(params.values())) <= 1 and len(policy.entries) > 1
 
     def sort_key(identity: SpanIdentity):
-        if ambiguous:
-            return identity
         b = store.beliefs.get(identity)
         mean = b.mean if b else 0.0
         return (-policy.vital.get(identity, 0.0), -mean, identity)

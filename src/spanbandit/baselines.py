@@ -247,7 +247,6 @@ def abs_run(
     budget: SampleBudget,
     seed: int = 0,
     percentile: float = 90.0,
-    mc_rows: int = 20_000,
 ) -> EliminationOutcome:
     """The belief sampler driving elimination on the same arm interface.
 
@@ -264,7 +263,7 @@ def abs_run(
     store = BeliefStore(lam=ABS_LAM, mode=ABS_MODE)
     survivors = list(range(env.num_arms))
     trail = [(0, len(survivors))]
-    for epoch in range(1, ABS_MAX_EPOCHS + 1):
+    for _ in range(ABS_MAX_EPOCHS):
         if len(survivors) <= 1 or budget.remaining < ABS_DRAWS_PER_ARM * len(survivors):
             break
         means = _sample_means(env, survivors, ABS_DRAWS_PER_ARM, rng, budget)
@@ -279,13 +278,7 @@ def abs_run(
             for a in survivors
         ]
         update_epoch(store, estimates)
-        cfg = VitalSetConfig(
-            percentile_p=percentile,
-            epsilon=ABS_EPSILON,
-            mc_rows=mc_rows,
-            rng_seed=int(np.random.SeedSequence((seed, 4304, epoch)).generate_state(1)[0]),
-        )
-        policy = build_policy(store, cfg)
+        policy = build_policy(store, VitalSetConfig(percentile, ABS_EPSILON))
         for a in survivors:
             if policy.eliminated(identities[a]):
                 del store.beliefs[identities[a]]
@@ -303,7 +296,18 @@ class ComparisonConfig:
     ege_quota_cap: int = 24
     ege_me_cap: int = 6
     abs_percentile: float = 90.0
-    abs_mc_rows: int = 20_000
+
+    def __post_init__(self) -> None:
+        # A zero cap samples nothing and ranks arms on NaN means; the skewed
+        # layout needs one high arm and one decoy.
+        least = {"num_arms": 2 if self.env_kind == "skewed" else 1,
+                 "budget": 1, "ege_quota_cap": 1, "ege_me_cap": 1}
+        for name, floor in least.items():
+            value = getattr(self, name)
+            if value < floor:
+                raise ValueError(
+                    f"ComparisonConfig.{name} must be at least {floor}, got {value!r}"
+                )
 
 
 @dataclass
@@ -364,6 +368,5 @@ def compare_elimination(config: ComparisonConfig = ComparisonConfig()) -> Compar
         SampleBudget(config.budget),
         seed=config.seed,
         percentile=config.abs_percentile,
-        mc_rows=config.abs_mc_rows,
     )
     return result

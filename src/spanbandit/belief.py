@@ -77,8 +77,8 @@ class BeliefStore:
     """All per-identity beliefs plus the update configuration.
 
     The store is mutated only by its owning controller loop; anything that
-    reads concurrently (the Monte-Carlo sampler, report writers) should
-    take a snapshot() instead.
+    reads concurrently (the planner, report writers) should take a
+    snapshot() instead.
     """
 
     lam: float = 0.3

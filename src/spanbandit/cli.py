@@ -136,12 +136,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _planner_config(args) -> VitalSetConfig:
-    return VitalSetConfig(
-        percentile_p=args.percentile,
-        epsilon=args.epsilon,
-        mc_rows=args.mc_rows,
-        rng_seed=_resolve_seed(args),
-    )
+    return VitalSetConfig(percentile_p=args.percentile, epsilon=args.epsilon)
 
 
 def _cmd_learn(args) -> int:
@@ -200,7 +195,6 @@ def _cmd_experiment(args) -> int:
         mode=args.mode,
         percentile=args.percentile,
         epsilon=args.epsilon,
-        mc_rows=args.mc_rows,
     )
     if args.sweep:
         values = [float(v) for v in args.values.split(",") if v != ""]
@@ -261,7 +255,6 @@ def _cmd_compare(args) -> int:
         ege_quota_cap=args.ege_cap,
         ege_me_cap=args.ege_me_cap,
         abs_percentile=args.percentile,
-        abs_mc_rows=args.mc_rows,
     )
     result = compare_elimination(config)
     payload = result.to_json_dict()
@@ -289,7 +282,6 @@ def _cmd_compare(args) -> int:
 def _cmd_bench(args) -> int:
     result = bench_inference(
         num_identities=args.identities,
-        mc_rows=args.mc_rows,
         reps=args.reps,
         percentile=args.percentile,
         seed=_resolve_seed(args),
@@ -298,10 +290,9 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _add_planner_flags(p: argparse.ArgumentParser, mc_rows_default: int = 100_000) -> None:
+def _add_planner_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--percentile", type=float, default=75.0, help="vital-set percentile P")
     p.add_argument("--epsilon", type=float, default=0.05, help="exploration floor")
-    p.add_argument("--mc-rows", type=int, default=mc_rows_default, help="Monte Carlo rows")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -338,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("verbatim_ewma", "discounted_count"), default=None)
     p.add_argument("--lenient", action="store_true")
     p.add_argument("--policy-out", help="also plan and save a policy")
-    p.add_argument("--seed", type=int)
     _add_planner_flags(p)
     p.set_defaults(func=_cmd_learn)
 
@@ -347,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", help="use this policy file instead of re-planning")
     p.add_argument("--top", type=int, default=None)
     p.add_argument("--csv", help="also write the full table as CSV")
-    p.add_argument("--seed", type=int)
     _add_planner_flags(p)
     p.set_defaults(func=_cmd_report)
 
@@ -365,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweep", choices=("percentile", "epsilon", "request_sampling_rate"))
     p.add_argument("--values", default="", help="comma list of sweep values")
     p.add_argument("--out", help="CSV output path")
-    _add_planner_flags(p, mc_rows_default=20_000)
+    _add_planner_flags(p)
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("tags", help="correlate span tags with latency")
@@ -386,13 +375,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ege-cap", type=int, default=24, help="per-arm round quota cap for the gap baseline")
     p.add_argument("--ege-me-cap", type=int, default=6, help="quota cap inside its reference search")
     p.add_argument("--percentile", type=float, default=90.0)
-    p.add_argument("--mc-rows", type=int, default=20_000)
     p.add_argument("--out", help="write the full comparison JSON here")
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("bench-inference", help="time policy planning at a given store size")
     p.add_argument("--identities", type=int, default=564)
-    p.add_argument("--mc-rows", type=int, default=10_000)
     p.add_argument("--reps", type=int, default=5)
     p.add_argument("--percentile", type=float, default=75.0)
     p.add_argument("--seed", type=int)

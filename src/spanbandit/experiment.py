@@ -33,7 +33,6 @@ class RunConfig:
     mode: str = "verbatim_ewma"
     percentile: float = 75.0
     epsilon: float = 0.05
-    mc_rows: int = 20_000
 
     def __post_init__(self) -> None:
         if not self.seeds:
@@ -223,7 +222,6 @@ def write_sweep_csv(points: list[SweepPoint], config: RunConfig, path: str) -> N
 @dataclass(frozen=True)
 class BenchResult:
     num_identities: int
-    mc_rows: int
     reps: int
     times_ms: tuple[float, ...]
 
@@ -234,7 +232,6 @@ class BenchResult:
     def to_json_dict(self) -> dict:
         return {
             "numIdentities": self.num_identities,
-            "mcRows": self.mc_rows,
             "reps": self.reps,
             "timesMs": [round(t, 3) for t in self.times_ms],
             "medianMs": round(self.median_ms, 3),
@@ -255,7 +252,6 @@ def synthetic_store(num_identities: int, seed: int = 0) -> BeliefStore:
 
 def bench_inference(
     num_identities: int = 564,
-    mc_rows: int = 10_000,
     reps: int = 5,
     percentile: float = 75.0,
     seed: int = 0,
@@ -264,7 +260,7 @@ def bench_inference(
     if reps < 1:
         raise ValueError(f"reps must be at least 1, got {reps}")
     store = synthetic_store(num_identities, seed)
-    cfg = VitalSetConfig(percentile_p=percentile, epsilon=0.05, mc_rows=mc_rows, rng_seed=seed)
+    cfg = VitalSetConfig(percentile_p=percentile, epsilon=0.05)
     build_policy(store, cfg)  # warm allocator and caches
     times = []
     for _ in range(reps):
@@ -273,7 +269,6 @@ def bench_inference(
         times.append((time.perf_counter() - t0) * 1000.0)
     return BenchResult(
         num_identities=num_identities,
-        mc_rows=mc_rows,
         reps=reps,
         times_ms=tuple(times),
     )

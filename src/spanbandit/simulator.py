@@ -476,7 +476,6 @@ class ControllerConfig:
     mode: str = "verbatim_ewma"
     percentile: float = 75.0
     epsilon: float = 0.05
-    mc_rows: int = 20_000
 
 
 @dataclass(frozen=True)
@@ -581,15 +580,7 @@ def run_closed_loop(
 
         t0 = time.perf_counter()
         learn_batch(store, traces, controller.measure)
-        cfg = VitalSetConfig(
-            percentile_p=controller.percentile,
-            epsilon=controller.epsilon,
-            mc_rows=controller.mc_rows,
-            rng_seed=int(
-                np.random.SeedSequence((workload.rng_seed, 7002, epoch)).generate_state(1)[0]
-            ),
-        )
-        policy = build_policy(store, cfg)
+        policy = build_policy(store, VitalSetConfig(controller.percentile, controller.epsilon))
         inference_ms = (time.perf_counter() - t0) * 1000.0
 
         ranked = report(policy, store)
@@ -642,6 +633,14 @@ def _identity_dict(identity: SpanIdentity) -> dict:
 
 def _identity_from(obj: dict) -> SpanIdentity:
     return SpanIdentity(obj["service"], obj["operation"], obj.get("url", ""))
+
+
+def _service_tag_from(obj: dict) -> ServiceTagSpec:
+    # tuple() of a JSON string would split it into one tag value per character.
+    values = obj["values"]
+    if not isinstance(values, list):
+        raise InvalidTopology(f"ServiceTagSpec.values must be a JSON list, got {values!r}")
+    return ServiceTagSpec(obj["service"], obj["key"], tuple(values))
 
 
 def anomaly_to_dict(a: AnomalySpec) -> dict:
@@ -749,10 +748,7 @@ def spec_from_json_dict(obj: dict) -> tuple[TopologySpec, tuple[AnomalySpec, ...
     topology = TopologySpec(
         root=_identity_from(topo["root"]),
         operations=operations,
-        service_tags=tuple(
-            ServiceTagSpec(t["service"], t["key"], tuple(t["values"]))
-            for t in topo.get("serviceTags", [])
-        ),
+        service_tags=tuple(_service_tag_from(t) for t in topo.get("serviceTags", [])),
     )
     anomalies = tuple(anomaly_from_dict(a) for a in obj.get("anomalies", []))
     w = obj.get("workload", {})

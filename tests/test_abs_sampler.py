@@ -1,8 +1,10 @@
-"""Monte-Carlo vital-set estimation and the published sampling policy."""
+"""The quadrature vital-set planner and the published sampling policy."""
+import math
 import tracemalloc
 
+import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from spanbandit import (
     BeliefStore,
@@ -18,6 +20,8 @@ from spanbandit import (
     report,
     save_policy,
 )
+from spanbandit.abs_sampler import beta_cdf
+from spanbandit.belief import PARAM_FLOOR
 from spanbandit.experiment import synthetic_store
 
 
@@ -36,6 +40,119 @@ def _win_probability(a1, b1, a2, b2):
     return val
 
 
+# The Monte-Carlo oracle, independent of the planner: one numpy Beta draw
+# per identity per row, the row's linear-interpolation P-th percentile as
+# threshold, and the fraction of rows whose draw met it. The tolerance is
+# Z_MAX standard errors of the difference, the planner counted as a
+# REFERENCE_ROWS-row estimate, with the Bernoulli variance floored at one
+# such row so probabilities near 0 or 1 keep a little room.
+ORACLE_ROWS = 40_000
+REFERENCE_ROWS = 10_000
+Z_MAX = 5.5
+
+
+def _oracle_vital(alphas, betas, percentile, seed=20240515):
+    rng = np.random.default_rng(seed)
+    hits = np.zeros(len(alphas))
+    for lo in range(0, ORACLE_ROWS, 4_000):
+        values = rng.beta(alphas, betas, size=(min(4_000, ORACLE_ROWS - lo), len(alphas)))
+        thresh = np.percentile(values, percentile, axis=1, method="linear")
+        hits += (values >= thresh[:, None]).sum(axis=0)
+    return hits / ORACLE_ROWS
+
+
+def _oracle_misses(store, percentile):
+    ids = sorted(store.beliefs)
+    alphas = np.array([store.beliefs[i].alpha for i in ids])
+    betas = np.array([store.beliefs[i].beta for i in ids])
+    vital = build_policy(store, VitalSetConfig(percentile_p=percentile, epsilon=0.0)).vital
+    got = np.array([vital[i] for i in ids])
+    want = _oracle_vital(alphas, betas, percentile)
+    pooled = (got * REFERENCE_ROWS + want * ORACLE_ROWS) / (REFERENCE_ROWS + ORACLE_ROWS)
+    var = np.maximum(pooled * (1.0 - pooled), 1.0 / REFERENCE_ROWS)
+    se = np.sqrt(var * (1.0 / REFERENCE_ROWS + 1.0 / ORACLE_ROWS))
+    return [(str(i), g, w) for i, g, w, e in zip(ids, got, want, se) if abs(g - w) > Z_MAX * e]
+
+
+# alpha + beta = 1, the verbatim EWMA's fixed point, with alpha from 1e-3
+# to 0.5: each belief piles its mass near 0 over many orders of magnitude,
+# most of it inside the grid's first uniform bin, where only the tail
+# nodes tell the spans apart. Beta stays >= 0.5 because the oracle's own
+# draws tie at exactly 1.0 once beta is far below 1 (doubles near 1 are
+# 1.1e-16 apart), and a continuous planner rightly does not reproduce
+# those ties.
+U_SHAPED = [(a, 1.0 - a) for a in np.geomspace(0.001, 0.5, 30)]
+# Beta(200, 20) and Beta(190, 20) share most of one grid bin.
+CONCENTRATED = [(200.0, 20.0), (190.0, 20.0), (150.0, 30.0), (5.0, 5.0), (3.0, 7.0)]
+ORACLE_STORES = [
+    ("synthetic-564", lambda: synthetic_store(564, 0), 75.0),
+    ("synthetic-41", lambda: synthetic_store(41, 2), 50.0),
+    ("synthetic-41", lambda: synthetic_store(41, 2), 90.0),
+    ("synthetic-41", lambda: synthetic_store(41, 2), 100.0),
+    ("u-shaped", lambda: _store(U_SHAPED), 75.0),
+    ("u-shaped", lambda: _store(U_SHAPED), 100.0),
+    ("concentrated", lambda: _store(CONCENTRATED), 75.0),
+    ("concentrated", lambda: _store(CONCENTRATED), 100.0),
+    ("param-floor",
+     lambda: _store([(PARAM_FLOOR, 1.0), (2.0, 5.0), (5.0, 2.0), (1.0, PARAM_FLOOR)]), 75.0),
+    ("one", lambda: _store([(3.0, 4.0)]), 75.0),
+    ("two", lambda: _store([(0.5, 0.5), (3.0, 3.0)]), 75.0),
+]
+
+
+@pytest.mark.parametrize(
+    "make, percentile", [(m, p) for _, m, p in ORACLE_STORES],
+    ids=[f"{name}-p{p:g}" for name, _, p in ORACLE_STORES],
+)
+def test_vital_matches_monte_carlo_oracle(make, percentile):
+    assert _oracle_misses(make(), percentile) == []
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "make, percentile", [(m, p) for _, m, p in ORACLE_STORES],
+    ids=[f"{name}-p{p:g}" for name, _, p in ORACLE_STORES],
+)
+def test_vital_invariants(make, percentile):
+    store = make()
+    s = len(store.beliefs)
+    h = (s - 1) * percentile / 100.0
+    m = math.floor(h) + (h > math.floor(h))
+    vital = build_policy(store, VitalSetConfig(percentile_p=percentile, epsilon=0.0)).vital
+    assert abs(sum(vital.values()) - (s - m)) < 1e-9
+    assert all(0.0 <= v <= 1.0 for v in vital.values())
+
+
+@pytest.mark.filterwarnings("error")
+def test_equal_beliefs_get_bit_equal_vital():
+    params = [(2.0, 5.0), (0.3, 0.7), (2.0, 5.0), (9.0, 1.0), (0.3, 0.7), (2.0, 5.0)]
+    for percentile in (50.0, 75.0, 100.0):
+        vital = build_policy(_store(params), VitalSetConfig(percentile_p=percentile)).vital
+        by_params = {}
+        for i, ab in enumerate(params):
+            by_params.setdefault(ab, set()).add(vital[SpanIdentity(f"s{i:02d}", "op")])
+        assert all(len(values) == 1 for values in by_params.values())
+
+
+def test_huge_concentration_plans_like_a_point_mass():
+    # A state file may hold any finite belief; 1e12 pseudo-counts must not
+    # stall the continued fraction.
+    store = _store([(3e11, 1e12), (1e12, 1e12), (2.0, 2.0)])
+    vital = build_policy(store, VitalSetConfig(percentile_p=100.0, epsilon=0.0)).vital
+    assert vital[SpanIdentity("s00", "op")] < 1e-9
+    assert abs(vital[SpanIdentity("s01", "op")] - 0.5) < 0.01
+
+
+def test_beta_cdf_matches_scipy():
+    rng = np.random.default_rng(7)
+    a = 10.0 ** rng.uniform(-9.0, 6.0, 20_000)
+    b = 10.0 ** rng.uniform(-9.0, 6.0, 20_000)
+    x = rng.uniform(0.0, 1.0, 20_000)
+    x[:5_000] = (a / (a + b))[:5_000]  # at the mean, where the fraction is slowest
+    got = beta_cdf(a, b, x, 1.0 - x)
+    assert np.max(np.abs(got - special.betainc(a, b, x))) < 1e-8
+
+
 def test_vital_matches_pairwise_win_probability_for_two_spans():
     # With two identities and an interpolated percentile strictly inside
     # (0, 100), the row threshold lies strictly between the draws, so only
@@ -47,7 +164,7 @@ def test_vital_matches_pairwise_win_probability_for_two_spans():
         ((8.0, 2.0), (6.0, 4.0)),
         ((0.5, 0.5), (3.0, 3.0)),
     ]
-    cfg = VitalSetConfig(percentile_p=75.0, epsilon=0.0, mc_rows=100_000, rng_seed=13)
+    cfg = VitalSetConfig(percentile_p=75.0, epsilon=0.0)
     for (a1, b1), (a2, b2) in cases:
         store = _store([(a1, b1), (a2, b2)])
         vital = build_policy(store, cfg).vital
@@ -60,7 +177,7 @@ def test_vital_matches_pairwise_win_probability_for_two_spans():
 
 def test_single_identity_is_always_vital():
     store = _store([(3.0, 4.0)])
-    policy = build_policy(store, VitalSetConfig(mc_rows=1000, rng_seed=0))
+    policy = build_policy(store, VitalSetConfig())
     assert policy.vital[SpanIdentity("s00", "op")] == 1.0
 
 
@@ -70,7 +187,7 @@ def test_integer_rank_threshold_with_concentrated_beliefs():
     # With well-separated concentrated beliefs the top two dominate.
     params = [(2, 800), (2, 600), (2, 400), (600, 2), (800, 2)]
     store = _store(params)
-    cfg = VitalSetConfig(percentile_p=75.0, epsilon=0.0, mc_rows=50_000, rng_seed=3)
+    cfg = VitalSetConfig(percentile_p=75.0, epsilon=0.0)
     vital = build_policy(store, cfg).vital
     vals = [vital[SpanIdentity(f"s{i:02d}", "op")] for i in range(5)]
     assert sum(vals) == pytest.approx(2.0)
@@ -80,7 +197,7 @@ def test_integer_rank_threshold_with_concentrated_beliefs():
 
 def test_percentile_100_keeps_only_row_maxima():
     store = _store([(1, 1), (1, 1), (1, 1)])
-    cfg = VitalSetConfig(percentile_p=100.0, epsilon=0.0, mc_rows=30_000, rng_seed=5)
+    cfg = VitalSetConfig(percentile_p=100.0, epsilon=0.0)
     vital = build_policy(store, cfg).vital
     assert sum(vital.values()) == pytest.approx(1.0)
     for v in vital.values():
@@ -93,7 +210,7 @@ def test_epsilon_floor_applied_to_entries_not_vital():
     store = BeliefStore(epoch=3)
     store.beliefs[SpanIdentity("a", "op")] = BetaBelief(1, 1000)
     store.beliefs[SpanIdentity("b", "op")] = BetaBelief(1000, 1)
-    policy = build_policy(store, VitalSetConfig(epsilon=0.05, mc_rows=2000))
+    policy = build_policy(store, VitalSetConfig(epsilon=0.05))
     assert policy.entries[SpanIdentity("a", "op")] == 0.05
     assert policy.entries[SpanIdentity("b", "op")] == 1.0
     assert policy.vital[SpanIdentity("a", "op")] == 0.0
@@ -108,11 +225,11 @@ def test_empty_store_raises():
         build_policy(BeliefStore(), VitalSetConfig())
 
 
-def test_planning_holds_one_chunk_of_draws_at_a_time():
-    # 564 identities by 10k rows: the full draw matrix alone is 43 MB, so a
-    # plan that stacks it (or a partitioned copy of it) peaks above that.
+def test_planning_memory_stays_below_a_draw_matrix():
+    # 564 identities: the planner's arrays are about (S + 1) x bins floats
+    # each, well under a 10k-row draw matrix (43 MB).
     store = synthetic_store(564, 0)
-    cfg = VitalSetConfig(mc_rows=10_000, rng_seed=0)
+    cfg = VitalSetConfig()
     build_policy(store, cfg)  # warm caches outside the measurement
     tracemalloc.start()
     tracemalloc.reset_peak()
@@ -131,8 +248,6 @@ def test_config_validation():
         VitalSetConfig(percentile_p=101.0)
     with pytest.raises(ValueError):
         VitalSetConfig(epsilon=1.0)
-    with pytest.raises(ValueError):
-        VitalSetConfig(mc_rows=0)
     with pytest.raises(InvalidPolicy, match="percentile"):
         VitalSetConfig(percentile_p=float("nan"))
     with pytest.raises(InvalidPolicy, match="epsilon"):
@@ -141,7 +256,7 @@ def test_config_validation():
 
 def test_policy_json_round_trip(tmp_path):
     store = _store([(2, 5), (5, 2), (1, 1)])
-    policy = build_policy(store, VitalSetConfig(mc_rows=2000, rng_seed=11))
+    policy = build_policy(store, VitalSetConfig())
     path = tmp_path / "policy.json"
     save_policy(policy, str(path))
     back = load_policy(str(path))
@@ -164,7 +279,7 @@ def test_policy_json_round_trip(tmp_path):
     ],
 )
 def test_policy_entry_out_of_range_rejected(field, value):
-    obj = policy_to_json_dict(build_policy(_store([(2, 5), (5, 2)]), VitalSetConfig(mc_rows=500)))
+    obj = policy_to_json_dict(build_policy(_store([(2, 5), (5, 2)]), VitalSetConfig()))
     obj["entries"][1][field] = value
     with pytest.raises(InvalidPolicy, match=f"{field} must be finite and in \\[0, 1\\]"):
         policy_from_json_dict(obj)
@@ -182,7 +297,7 @@ def test_policy_entry_out_of_range_rejected(field, value):
     ],
 )
 def test_policy_header_out_of_range_rejected(field, value):
-    obj = policy_to_json_dict(build_policy(_store([(2, 5), (5, 2)]), VitalSetConfig(mc_rows=500)))
+    obj = policy_to_json_dict(build_policy(_store([(2, 5), (5, 2)]), VitalSetConfig()))
     obj[field] = value
     with pytest.raises(InvalidPolicy, match=field):
         policy_from_json_dict(obj)
@@ -190,7 +305,7 @@ def test_policy_header_out_of_range_rejected(field, value):
 
 def test_report_ranks_by_vital_then_mean():
     store = _store([(2, 8), (8, 2), (5, 5)])
-    policy = build_policy(store, VitalSetConfig(mc_rows=20_000, rng_seed=2))
+    policy = build_policy(store, VitalSetConfig())
     rep = report(policy, store)
     assert not rep.ambiguous
     assert [r.rank for r in rep.rows] == [1, 2, 3]
@@ -204,7 +319,7 @@ def test_report_ranks_by_vital_then_mean():
 
 def test_report_flags_identical_beliefs_as_ambiguous():
     store = _store([(1, 1), (1, 1), (1, 1), (1, 1)])
-    policy = build_policy(store, VitalSetConfig(mc_rows=5000, rng_seed=4))
+    policy = build_policy(store, VitalSetConfig())
     rep = report(policy, store)
     assert rep.ambiguous
     assert [r.identity for r in rep.rows] == sorted(r.identity for r in rep.rows)

@@ -91,7 +91,7 @@ def _map(fn, *iterables):
 
 def _timed_default_run(preset, seed):
     t0 = time.perf_counter()
-    cfg = RunConfig(preset=preset, seeds=(seed,), num_epochs=20, mc_rows=20_000)
+    cfg = RunConfig(preset=preset, seeds=(seed,), num_epochs=20)
     result = run_one(cfg, seed)
     return result, time.perf_counter() - t0
 
@@ -105,7 +105,7 @@ def _randomized_fault_run(preset, seed):
         p.topology,
         (RandomDelayAnomaly(target),),
         with_seed(p.workload, seed),
-        ControllerConfig(mc_rows=20_000),
+        ControllerConfig(),
         num_epochs=20,
     )
     return target, result
@@ -205,9 +205,7 @@ SHIFT_EPOCH = 10
 
 def _recovery_samples(eps, seed):
     preset = get_preset("social")
-    controller = ControllerConfig(
-        epsilon=eps, mode="discounted_count", lam=0.3, percentile=85.0, mc_rows=20_000
-    )
+    controller = ControllerConfig(epsilon=eps, mode="discounted_count", lam=0.3, percentile=85.0)
     result = shift_anomaly(
         preset.topology,
         list(preset.anomalies),
@@ -225,7 +223,7 @@ def _recovery_samples(eps, seed):
 
 
 def test_criterion_4_sensitivity_trends(monkeypatch):
-    base = RunConfig(preset="social", seeds=SEEDS, num_epochs=20, mc_rows=20_000)
+    base = RunConfig(preset="social", seeds=SEEDS, num_epochs=20)
     sweeps = {"percentile": [50.0, 75.0, 90.0], "request_sampling_rate": [1.0, 0.5, 0.1]}
 
     # `sweep` runs its seeds through experiment.run_one. Its runs are made
@@ -306,10 +304,10 @@ def test_criterion_5_budgeted_elimination_comparison():
 
 
 def test_criterion_6_planning_latency():
-    result = bench_inference(num_identities=564, mc_rows=10_000, reps=5)
+    result = bench_inference(num_identities=564, reps=5)
     ok = result.median_ms < 100.0
     print(
-        f"[criterion 6] policy planning for 564 identities at 10k Monte-Carlo rows "
+        f"[criterion 6] policy planning for 564 identities "
         f"under 100 ms median: {_verdict(ok)} (measured {result.median_ms:.1f} ms over "
         f"{result.reps} reps, times {[round(t, 1) for t in result.times_ms]}; "
         f"the bound assumes a multi-core desktop CPU)"
@@ -388,13 +386,13 @@ def test_criterion_8_property_suites():
             )
     closed_form_ok = max_rel < 1e-12
 
-    # (c) Monte-Carlo vital probability vs the pairwise quadrature oracle
+    # (c) planned vital probability vs the pairwise quadrature oracle
     worst_gap = 0.0
     for (a1, b1), (a2, b2) in (((2.0, 5.0), (5.0, 2.0)), ((1.0, 1.0), (4.0, 4.0))):
         store = BeliefStore()
         store.beliefs[SpanIdentity("x", "op")] = BetaBelief(a1, b1)
         store.beliefs[SpanIdentity("y", "op")] = BetaBelief(a2, b2)
-        cfg = VitalSetConfig(percentile_p=75.0, epsilon=0.0, mc_rows=100_000, rng_seed=17)
+        cfg = VitalSetConfig(percentile_p=75.0, epsilon=0.0)
         vital = build_policy(store, cfg).vital
         d1 = stats.beta(a1, b1)
         d2 = stats.beta(a2, b2)
@@ -402,9 +400,9 @@ def test_criterion_8_property_suites():
         worst_gap = max(worst_gap, abs(vital[SpanIdentity("x", "op")] - want))
     oracle_ok = worst_gap <= 0.02
 
-    # (d) byte-identical policies for identical seeds
+    # (d) byte-identical policies for identical beliefs
     store = synthetic_store(60, seed=5)
-    cfg = VitalSetConfig(mc_rows=20_000, rng_seed=9)
+    cfg = VitalSetConfig()
     first = policy_to_json_dict(build_policy(store, cfg))
     second = policy_to_json_dict(build_policy(store, cfg))
     import json
@@ -431,7 +429,7 @@ def test_criterion_8_property_suites():
         f"(conservation: {violations} violations over {total} traces; "
         f"closed-form max relative error {max_rel:.2e}; "
         f"vital-vs-oracle gap {worst_gap:.4f} <= 0.02; "
-        f"policy bytes identical across two plans with one seed: {determinism_ok}; "
+        f"policy bytes identical across two plans of one store: {determinism_ok}; "
         f"top {k}/{len(variances)} identities hold {share:.1%} of variance, in [75%, 85%])"
     )
     assert conservation_ok, violations

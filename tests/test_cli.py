@@ -1,5 +1,9 @@
 """Command line behavior, run in process through main(argv)."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -67,8 +71,6 @@ def test_learn_report_pipeline(tmp_path, capsys):
             "--in", str(src),
             "--state", str(state),
             "--policy-out", str(policy),
-            "--mc-rows", "1500",
-            "--seed", "1",
         ]
     )
     assert rc == 0
@@ -108,7 +110,6 @@ def test_experiment_summary_and_sweep_csv(tmp_path, capsys):
             "--seeds", "0",
             "--epochs", "2",
             "--batch-size", "20",
-            "--mc-rows", "800",
         ]
     )
     assert rc == 0
@@ -125,7 +126,6 @@ def test_experiment_summary_and_sweep_csv(tmp_path, capsys):
             "--seeds", "0",
             "--epochs", "2",
             "--batch-size", "20",
-            "--mc-rows", "800",
             "--sweep", "epsilon",
             "--values", "0.05,0.1",
             "--out", str(out),
@@ -186,7 +186,6 @@ def test_compare_baselines_json(tmp_path, capsys):
             "--arms", "20",
             "--budget", "600",
             "--seed", "0",
-            "--mc-rows", "2000",
             "--out", str(out),
         ]
     )
@@ -201,7 +200,7 @@ def test_compare_baselines_json(tmp_path, capsys):
 
 
 def test_bench_inference_json(capsys):
-    rc = main(["bench-inference", "--identities", "30", "--mc-rows", "1000", "--reps", "2"])
+    rc = main(["bench-inference", "--identities", "30", "--reps", "2"])
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["command"] == "bench-inference"
@@ -231,6 +230,18 @@ def test_seed_env_fallback(tmp_path, capsys, monkeypatch):
     assert env_out.read_bytes() == flagged.read_bytes()
 
 
+def test_cli_import_loads_no_scipy():
+    # scipy is a test extra only; a fresh `import scipy.special` alone costs
+    # about a third of a second, which every CLI call would pay.
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = "import sys, spanbandit.cli; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -243,7 +254,11 @@ def test_version_flag(capsys):
     [
         (["experiment", "--preset", "social", "--seeds", "0", "--epochs", "0"], "num_epochs"),
         (["experiment", "--preset", "social", "--seeds", ","], "seeds"),
-        (["bench-inference", "--identities", "8", "--mc-rows", "100", "--reps", "0"], "reps"),
+        (["bench-inference", "--identities", "8", "--reps", "0"], "reps"),
+        (["compare-baselines", "--ege-cap", "0"], "ege_quota_cap"),
+        (["compare-baselines", "--ege-cap", "-3"], "ege_quota_cap"),
+        (["compare-baselines", "--ege-me-cap", "0"], "ege_me_cap"),
+        (["compare-baselines", "--arms", "1"], "num_arms"),
     ],
 )
 def test_out_of_range_flag_reports_json_error(argv, field, capsys):
@@ -283,7 +298,8 @@ def test_spec_with_infinite_delay_reports_json_error(tmp_path, capsys):
 
 # (anomaly index, key, value, text the error must name) on a spec holding
 # contention on post-store, a random delay on text/process and a canary
-# of media.
+# of media; index None sets the key on every operation, "serviceTags"
+# on one service tag of media.
 BAD_SPEC_VALUES = [
     (0, "service", "gatewya", "contention:gatewya"),
     (0, "service", 5, "service"),
@@ -297,6 +313,7 @@ BAD_SPEC_VALUES = [
     (2, "tagKey", "", "tag_key"),
     (2, "canaryValue", 7, "canary_value"),
     (None, "muLog", 800.0, "gateway/compose-post"),
+    ("serviceTags", "values", "dc1", "ServiceTagSpec.values"),
 ]
 
 
@@ -313,6 +330,8 @@ def test_bad_spec_value_reports_json_error(tmp_path, capsys, index, key, value, 
     if index is None:
         for op in doc["topology"]["operations"]:
             op[key] = value
+    elif index == "serviceTags":
+        doc["topology"]["serviceTags"] = [{"service": "media", "key": "datacenter", key: value}]
     else:
         doc["anomalies"][index][key] = value
         if key == "delayMeanUs":

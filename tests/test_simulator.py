@@ -165,12 +165,12 @@ def test_closed_loop_rejects_anomaly_naming_no_operation(anomaly):
     social = get_preset("social")
     workload = WorkloadSpec(num_requests=50, batch_size=10, rng_seed=2)
     with pytest.raises(InvalidTopology, match=re.escape(anomaly_label(anomaly))):
-        run_closed_loop(social.topology, (anomaly,), workload, ControllerConfig(mc_rows=500),
+        run_closed_loop(social.topology, (anomaly,), workload, ControllerConfig(),
                         num_epochs=2)
     # A later phase of a schedule is checked before the first epoch runs.
     schedule = [(1, social.anomalies), (2, (anomaly,))]
     with pytest.raises(InvalidTopology, match=re.escape(anomaly_label(anomaly))):
-        run_closed_loop(social.topology, schedule, workload, ControllerConfig(mc_rows=500),
+        run_closed_loop(social.topology, schedule, workload, ControllerConfig(),
                         num_epochs=2)
 
 
@@ -328,7 +328,7 @@ def test_canary_routing_stamps_tags_and_slows_service():
 def test_closed_loop_is_deterministic_up_to_timing():
     preset = get_preset("media")
     workload = dataclasses.replace(preset.workload, num_requests=10_000)
-    controller = ControllerConfig(mc_rows=2000)
+    controller = ControllerConfig()
 
     def run():
         return run_closed_loop(preset.topology, preset.anomalies, workload, controller, num_epochs=4)
@@ -343,7 +343,7 @@ def test_closed_loop_is_deterministic_up_to_timing():
 def test_closed_loop_learns_to_watch_the_fault():
     preset = get_preset("media")
     workload = dataclasses.replace(preset.workload, num_requests=100_000)
-    controller = ControllerConfig(mc_rows=2000)
+    controller = ControllerConfig()
     result = run_closed_loop(preset.topology, preset.anomalies, workload, controller, num_epochs=8)
     assert result.rows[-1].faulty_probability > 0.9
     assert result.rows[-1].fraction_enabled < 0.6
