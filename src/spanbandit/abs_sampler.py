@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .belief import BeliefStore, posterior_variance, write_json
+from .belief import BeliefStore, json_integer, posterior_variance, write_json
 from .trace_model import SpanIdentity
 
 GRID_BINS = 64
@@ -301,7 +301,7 @@ def _unit(v: float) -> bool:
 
 def policy_from_json_dict(obj: dict) -> SamplingPolicy:
     policy = SamplingPolicy(
-        epoch=int(obj["epoch"]),
+        epoch=json_integer(obj["epoch"], "epoch", InvalidPolicy),
         epsilon=_checked(obj, "epsilon", lambda v: 0.0 <= v < 1.0, "[0, 1)"),
         percentile=_checked(obj, "percentile", lambda v: 0.0 < v <= 100.0, "(0, 100]"),
     )

@@ -41,7 +41,8 @@ class NormalizationOutOfRange(ValueError):
 
 
 class InvalidBelief(ValueError):
-    """A Beta parameter that is not a finite positive number."""
+    """A Beta parameter that is not a finite positive number, or a state
+    file's epoch that is not an integer."""
 
 
 @dataclass
@@ -173,8 +174,19 @@ def store_to_json_dict(store: BeliefStore) -> dict:
     }
 
 
+def json_integer(value, name: str, error: type[ValueError]) -> int:
+    """A JSON count as an int; raises `error` naming `name` for a bool, a
+    non-number or a number that is not integral, which int() would truncate."""
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    ):
+        raise error(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def store_from_json_dict(obj: dict) -> BeliefStore:
-    store = BeliefStore(lam=float(obj["lambda"]), mode=str(obj["mode"]), epoch=int(obj["epoch"]))
+    epoch = json_integer(obj["epoch"], "epoch", InvalidBelief)
+    store = BeliefStore(lam=float(obj["lambda"]), mode=str(obj["mode"]), epoch=epoch)
     for row in obj["beliefs"]:
         identity = SpanIdentity(row["service"], row["operation"], row.get("url", ""))
         store.beliefs[identity] = BetaBelief(float(row["alpha"]), float(row["beta"]))

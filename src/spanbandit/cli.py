@@ -169,6 +169,8 @@ def _cmd_learn(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    if args.top is not None and args.top < 1:
+        raise ValueError(f"--top must be at least 1, got {args.top}")
     store = load_store(args.state)
     if args.policy:
         policy = load_policy(args.policy)

@@ -7,6 +7,11 @@ duration is exactly self time plus the waiting implied by that layout.
 Decomposing a generated trace therefore recovers the configured self
 times without error, which makes ground truth checkable.
 
+Each request is one pre-order walk that draws every operation and lays
+out its stages into a flat span list, then one loop over that list that
+makes the recording decisions. The trace is valid by construction, so
+it is assembled directly and not re-validated through `build_trace`.
+
 Sampling policies act at span granularity. A span whose recording
 decision fails is *not* free: the work still happens, the span is simply
 omitted from the trace and its children re-attach to the nearest
@@ -26,8 +31,8 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 from .abs_sampler import SamplingPolicy, VitalSetConfig, build_policy, report
-from .belief import BeliefStore, learn_batch, write_json
-from .trace_model import SpanIdentity, SpanRecord, Trace, build_trace
+from .belief import BeliefStore, json_integer, learn_batch, write_json
+from .trace_model import SpanIdentity, SpanRecord, Trace
 
 
 class InvalidTopology(ValueError):
@@ -102,6 +107,18 @@ class OperationSpec:
     identity: SpanIdentity
     base: LatencyModel
     calls: tuple[CallSpec, ...] = ()
+    # The callees grouped as they run: a sequential call opens a stage, and a
+    # parallel call joins the stage before it.
+    stages: tuple[tuple[SpanIdentity, ...], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        stages: list[list[SpanIdentity]] = []
+        for call in self.calls:
+            if not stages or call.mode == "sequential":
+                stages.append([call.callee])
+            else:
+                stages[-1].append(call.callee)
+        object.__setattr__(self, "stages", tuple(map(tuple, stages)))
 
 
 @dataclass(frozen=True)
@@ -301,20 +318,9 @@ class WorkloadSpec:
             raise ValueError("batch_size and num_requests must be positive")
 
 
-class _Node:
-    __slots__ = ("identity", "self_us", "stages", "duration_us", "tags")
-
-    def __init__(self, identity: SpanIdentity, self_us: int, stages: list[list["_Node"]], tags: dict[str, str]):
-        self.identity = identity
-        self.self_us = self_us
-        self.stages = stages
-        self.tags = tags
-        self.duration_us = self_us + sum(max(c.duration_us for c in st) for st in stages)
-
-
-def _split_gaps(total: int, parts: int) -> list[int]:
-    base, rem = divmod(total, parts)
-    return [base + (1 if i < rem else 0) for i in range(parts)]
+def _extra_delay_us(a: RandomDelayAnomaly | CanaryAnomaly, identity: SpanIdentity, rng) -> int:
+    # Normal delay truncated at zero.
+    return max(0, _finite_us(rng.normal(a.delay_mean_us, a.delay_std_us), identity, "delay"))
 
 
 def generate_request(
@@ -339,10 +345,8 @@ def generate_request(
     if rng.random() >= sampling_rate:
         return None
 
-    canary_routed: dict[str, bool] = {}
-    for a in anomalies:
-        if isinstance(a, CanaryAnomaly):
-            canary_routed[a.service] = bool(rng.random() < a.fraction)
+    # One routing draw per canary, kept by its position in `anomalies`.
+    routed = [isinstance(a, CanaryAnomaly) and bool(rng.random() < a.fraction) for a in anomalies]
     request_tags: dict[str, dict[str, str]] = {}
     for spec in topology.service_tags:
         value = spec.values[int(rng.integers(len(spec.values)))]
@@ -352,11 +356,12 @@ def generate_request(
         if ground_truth is not None:
             ground_truth.activations.setdefault(anomaly_label(a), []).append(request_index)
 
-    def extra_delay_us(a: RandomDelayAnomaly | CanaryAnomaly, identity: SpanIdentity) -> int:
-        # Normal delay truncated at zero.
-        return max(0, _finite_us(rng.normal(a.delay_mean_us, a.delay_std_us), identity, "delay"))
+    # Pre-order list of [identity, parent index, start, duration, self, tags].
+    spans: list[list] = []
 
-    def build(identity: SpanIdentity) -> _Node:
+    def walk(identity: SpanIdentity, parent: int | None, start_us: int) -> int:
+        # Draws one operation and returns its duration; its self time splits
+        # into gaps before, between and after its stages.
         op = topology.ops[identity]
         base = op.base.draw(rng)
         for a in anomalies:
@@ -366,73 +371,56 @@ def generate_request(
                     fired(a)
         self_us = max(1, _finite_us(base, identity, "latency"))
         tags = dict(request_tags.get(identity.service, {}))
-        for a in anomalies:
+        for a, canary_routed in zip(anomalies, routed):
             if isinstance(a, RandomDelayAnomaly) and a.target == identity:
                 if rng.random() < a.probability:
-                    self_us += extra_delay_us(a, identity)
+                    self_us += _extra_delay_us(a, identity, rng)
                     fired(a)
             elif isinstance(a, CanaryAnomaly) and a.service == identity.service:
-                if canary_routed[a.service]:
-                    self_us += extra_delay_us(a, identity)
+                if canary_routed:
+                    self_us += _extra_delay_us(a, identity, rng)
                     tags[a.tag_key] = a.canary_value
                     fired(a)
                 else:
                     tags[a.tag_key] = a.stable_value
-        stages: list[list[_Node]] = []
-        for call in op.calls:
-            child = build(call.callee)
-            if not stages or call.mode == "sequential":
-                stages.append([child])
-            else:
-                stages[-1].append(child)
-        return _Node(identity, self_us, stages, tags)
+        span = [identity, parent, start_us, 0, self_us, tags]
+        index = len(spans)
+        spans.append(span)
+        gap, rem = divmod(self_us, len(op.stages) + 1)
+        t = start_us + gap + (rem > 0)
+        for i, stage in enumerate(op.stages, 1):
+            t += max([walk(callee, index, t) for callee in stage]) + gap + (i < rem)
+        span[3] = t - start_us
+        return span[3]
 
-    root_node = build(topology.root)
+    walk(topology.root, None, 0)
 
     # Recording decisions on a forked stream: policy choices cannot perturb
-    # the latency draws above.
+    # the latency draws above. A dropped span's children attach to its
+    # nearest recorded ancestor; the root is always recorded.
     rec_rng = np.random.Generator(np.random.PCG64(int(rng.integers(2**63))))
     trace_id = f"t{request_index:07d}"
-    records: list[SpanRecord] = []
-
-    # Pre-order: record `node` at start_us, then lay its stages out inside
-    # it, with its self time split into gaps before, between and after them.
-    def emit(node: _Node, recorded_parent: str | None, start_us: int) -> None:
-        if recorded_parent is None:
-            recorded = True  # the root is always recorded
-        else:
-            p = policy.probability(node.identity) if policy is not None else 1.0
-            recorded = bool(rec_rng.random() < p)
-        parent_for_children = recorded_parent
-        if recorded:
-            span_id = parent_for_children = f"s{len(records):04d}"
-            if self_times_out is not None:
-                # The drawn self time; under a thinning policy the decomposed
-                # self segment of a recorded span may exceed it by whatever
-                # dropped descendants left uncovered.
-                self_times_out[span_id] = node.self_us
-            records.append(
-                SpanRecord(
-                    trace_id=trace_id,
-                    span_id=span_id,
-                    parent_id=recorded_parent,
-                    identity=node.identity,
-                    start_us=start_us,
-                    duration_us=node.duration_us,
-                    tags=node.tags,
-                )
-            )
-        if not node.stages:
-            return
-        gaps = _split_gaps(node.self_us, len(node.stages) + 1)
-        t = start_us + gaps[0]
-        for stage, gap in zip(node.stages, gaps[1:]):
-            for child in stage:
-                emit(child, parent_for_children, t)
-            t += max(c.duration_us for c in stage) + gap
-
-    emit(root_node, None, 0)
-    return build_trace(records)
+    records: dict[str, SpanRecord] = {}
+    attach_to: list[str | None] = []  # per walked span: its id if recorded, else its parent's
+    for identity, parent, start_us, duration_us, self_us, tags in spans:
+        parent_id = None if parent is None else attach_to[parent]
+        if parent is not None:
+            p = policy.probability(identity) if policy is not None else 1.0
+            if not rec_rng.random() < p:
+                attach_to.append(parent_id)
+                continue
+        span_id = f"s{len(records):04d}"
+        attach_to.append(span_id)
+        if self_times_out is not None:
+            # The drawn self time; under a thinning policy the decomposed
+            # self segment of a recorded span may exceed it by whatever
+            # dropped descendants left uncovered.
+            self_times_out[span_id] = self_us
+        records[span_id] = SpanRecord(
+            trace_id, span_id, parent_id, identity, start_us, duration_us, tags
+        )
+    # Valid by construction: one root, every parent recorded before its children.
+    return Trace(trace_id, records, "s0000")
 
 
 def request_rng(seed: int, request_index: int) -> np.random.Generator:
@@ -536,7 +524,7 @@ def run_closed_loop(
     if schedule[0][0] > 1:
         schedule.insert(0, (1, ()))
 
-    truths = [GroundTruth(faulty=faulty_identities(topology, phase)) for _, phase in schedule]
+    faulty_sets = [faulty_identities(topology, phase) for _, phase in schedule]
     weights = topology.occurrence_counts()
     total_weight = sum(weights.values())
     store = BeliefStore(lam=controller.lam, mode=controller.mode)
@@ -551,7 +539,7 @@ def run_closed_loop(
     for epoch in range(1, num_epochs + 1):
         phase_i = max(i for i, (start, _) in enumerate(schedule) if start <= epoch)
         active_anomalies = schedule[phase_i][1]
-        truth = truths[phase_i]
+        faulty = faulty_sets[phase_i]
 
         traces: list[Trace] = []
         give_up_at = request_index + max_attempts_per_epoch
@@ -563,7 +551,6 @@ def run_closed_loop(
                 request_rng(workload.rng_seed, request_index),
                 request_index=request_index,
                 sampling_rate=workload.request_sampling_rate,
-                ground_truth=truth,
             )
             request_index += 1
             if t is not None:
@@ -584,7 +571,6 @@ def run_closed_loop(
         inference_ms = (time.perf_counter() - t0) * 1000.0
 
         ranked = report(policy, store)
-        faulty = truth.faulty
         top_ids = [r.identity for r in ranked.rows]
         hits = {
             k: (not ranked.ambiguous) and any(i in faulty for i in top_ids[:k])
@@ -753,10 +739,10 @@ def spec_from_json_dict(obj: dict) -> tuple[TopologySpec, tuple[AnomalySpec, ...
     anomalies = tuple(anomaly_from_dict(a) for a in obj.get("anomalies", []))
     w = obj.get("workload", {})
     workload = WorkloadSpec(
-        num_requests=int(w.get("numRequests", 1000)),
+        num_requests=json_integer(w.get("numRequests", 1000), "numRequests", InvalidTopology),
         request_sampling_rate=float(w.get("requestSamplingRate", 1.0)),
-        batch_size=int(w.get("batchSize", 50)),
-        rng_seed=int(w.get("rngSeed", 1)),
+        batch_size=json_integer(w.get("batchSize", 50), "batchSize", InvalidTopology),
+        rng_seed=json_integer(w.get("rngSeed", 1), "rngSeed", InvalidTopology),
     )
     return topology, anomalies, workload
 

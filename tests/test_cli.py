@@ -342,3 +342,53 @@ def test_bad_spec_value_reports_json_error(tmp_path, capsys, index, key, value, 
     assert rc == 2
     assert err["error"] == "InvalidTopology"
     assert named in err["message"]
+
+
+@pytest.mark.parametrize("top", ["0", "-1"])
+def test_report_top_below_one_reports_json_error(tmp_path, capsys, top):
+    state = tmp_path / "state.json"
+    assert main(["learn", "--in", str(_simulate(tmp_path)), "--state", str(state)]) == 0
+    capsys.readouterr()
+    rc = main(["report", "--state", str(state), "--top", top])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "ValueError"
+    assert "--top" in err["message"]
+
+
+# (file, key, value, error): counts that int() would truncate or accept.
+NON_INTEGER_COUNTS = [
+    ("spec", "numRequests", 2.9, "InvalidTopology"),
+    ("spec", "batchSize", True, "InvalidTopology"),
+    ("spec", "rngSeed", 1.5, "InvalidTopology"),
+    ("state", "epoch", 1.7, "InvalidBelief"),
+    ("state", "epoch", False, "InvalidBelief"),
+    ("policy", "epoch", 1.5, "InvalidPolicy"),
+    ("policy", "epoch", True, "InvalidPolicy"),
+]
+
+
+@pytest.mark.parametrize("kind, key, value, error", NON_INTEGER_COUNTS)
+def test_non_integer_count_in_json_file_reports_json_error(tmp_path, capsys, kind, key, value, error):
+    traces = _simulate(tmp_path)
+    spec, state, policy = tmp_path / "spec.json", tmp_path / "state.json", tmp_path / "policy.json"
+    preset = get_preset("media")
+    save_spec(preset.topology, preset.anomalies, preset.workload, str(spec))
+    assert main(["learn", "--in", str(traces), "--state", str(state),
+                 "--policy-out", str(policy)]) == 0
+    capsys.readouterr()
+    path = {"spec": spec, "state": state, "policy": policy}[kind]
+    doc = json.loads(path.read_text())
+    (doc["workload"] if kind == "spec" else doc)[key] = value
+    path.write_text(json.dumps(doc))
+    argv = {
+        "spec": ["simulate", "--spec", str(spec), "--out", str(tmp_path / "t.jsonl")],
+        "state": ["learn", "--in", str(traces), "--state", str(state)],
+        "policy": ["report", "--state", str(state), "--policy", str(policy)],
+    }[kind]
+    rc = main(argv)
+    err = json.loads(capsys.readouterr().err)
+    assert rc == 2
+    assert err["error"] == error
+    assert key in err["message"]

@@ -42,6 +42,7 @@ VOLATILE = {"inference_ms", "timesMs", "medianMs", "workers"}
 GOLDEN = {
     "compare-baselines": "2b2eec8053028446f630c53db679e5bc3724a733ce80b0cee8c73cc8bf6fb198",
     "compare-baselines-file": "5293e3a4baf210eeab2f89d2591436507a9b598efdd553b021e40727a02370e4",
+    "decompose-social-thinned": "4590f40367bf62527dfb0fd595aab0a32184ef2e763eb19fb82dda3c9301dd6e",
     "experiment-csv": "05e2dccba4c97a67a45acf4565c7059b36ce3ac35e7875847fe548307cb84eab",
     "experiment-summary": "52dd088a9c6b74350529dc2deace1236d159aeb7670a2c69e1681d6572799406",
     "experiment-sweep": "6e2a0280fd77b67c77f5fba4f4443981ec98d01651f8b34d08546450b277df10",
@@ -57,6 +58,7 @@ GOLDEN = {
     "simulate-mixed-spec": "666cbc85509316ebd7fa56afaa6d1827668c688d5a9f2b9fd7724533b357d8d4",
     "simulate-rail": "d0e4ee1af82b5d34759fd0e0af16aee52a051323dfbfd05605c510898c411a23",
     "simulate-social": "48c1cbd82ca4da54ac73e15275f735cd5243f1805305160ad4fdb3bd1a67340f",
+    "simulate-social-thinned": "92222c535f49b6c5b0f3e9769a0e826b21b38e71eb18e65ad326c5138246122f",
     "truth-media": "616436f1e6884dca30408619fa9a8d24b18efc1546dc88fd7948d995e7f196a7",
     "truth-media-canary": "56f15075a23d36f82d00ade1b0b41ab2d5a09957ea2f081bdbbf26f7d33313e7",
     "truth-mixed-spec": "e4e7f83a7df6e0daf9e5d30ee2b77b41de39d31862640b7559334d92ad6bccf6",
@@ -146,6 +148,15 @@ def digests(golden_dir):
     _run(["learn", "--in", d / "media.jsonl", "--state", state, "--state-out", relearned,
           "--lambda", 0.5, "--mode", "discounted_count"])
     out["relearn-state"] = _sha_file(relearned)
+
+    # The learned policy thins the trace, so dropped spans' children are
+    # re-parented: this gates the generator's recording pass directly.
+    thinned, thinned_csv = d / "social-thinned.jsonl", d / "social-thinned.csv"
+    _run(["simulate", "--preset", "social", "--requests", 500, "--seed", 0,
+          "--policy", policy, "--out", thinned])
+    _run(["decompose", "--in", thinned, "--out", thinned_csv])
+    out["simulate-social-thinned"] = _sha_file(thinned)
+    out["decompose-social-thinned"] = _sha_file(thinned_csv)
 
     rows = run_one(RunConfig(preset="social"), 0).rows
     out["run_one-social"] = _sha_json([dataclasses.asdict(r) for r in rows])

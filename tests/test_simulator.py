@@ -325,6 +325,20 @@ def test_canary_routing_stamps_tags_and_slows_service():
     assert mean_leaf_self(canary_traces) > mean_leaf_self(stable_traces) + 3000
 
 
+def test_two_canaries_on_one_service_route_apart():
+    preset = get_preset("media-canary")
+    canaries = (
+        CanaryAnomaly("recommend", 1.0, tag_key="k1"),
+        CanaryAnomaly("recommend", 0.0, tag_key="k2"),
+    )
+    traces, truth = simulate_workload(preset.topology, canaries, WorkloadSpec(num_requests=200))
+    spans = [r for t in traces for r in t.preorder() if r.identity.service == "recommend"]
+    assert len(traces) == 200 and spans
+    # Only the first canary routes, so it fires once per span of the service.
+    assert truth.activation_counts() == {"canary:recommend": len(spans)}
+    assert {(r.tags["k1"], r.tags["k2"]) for r in spans} == {("canary", "stable")}
+
+
 def test_closed_loop_is_deterministic_up_to_timing():
     preset = get_preset("media")
     workload = dataclasses.replace(preset.workload, num_requests=10_000)
