@@ -113,7 +113,6 @@ from .trace_model import (
     read_traces_jsonl,
     span_from_json,
     span_to_json,
-    union_duration,
     write_traces_jsonl,
 )
 from .utility import (

@@ -272,6 +272,18 @@ def anomaly_label(a: AnomalySpec) -> str:
     return f"canary:{a.service}"
 
 
+def anomaly_labels(anomalies: Sequence[AnomalySpec]) -> list[str]:
+    """One ground-truth key per anomaly: its label, with a positional
+    suffix (#2, #3, ...) on the second and later anomalies sharing it."""
+    seen: dict[str, int] = {}
+    out = []
+    for a in anomalies:
+        label = anomaly_label(a)
+        seen[label] = seen.get(label, 0) + 1
+        out.append(label if seen[label] == 1 else f"{label}#{seen[label]}")
+    return out
+
+
 def faulty_identities(
     topology: TopologySpec, anomalies: Iterable[AnomalySpec]
 ) -> tuple[SpanIdentity, ...]:
@@ -293,8 +305,9 @@ def faulty_identities(
 class GroundTruth:
     """Which identities an anomaly set makes faulty, plus when each fired.
 
-    Activations record the request index per trigger, for sampled
-    requests only (head-dropped requests are never simulated in full).
+    Activations are keyed by `anomaly_labels` and record the request index
+    per trigger, for sampled requests only (head-dropped requests are never
+    simulated in full).
     """
 
     faulty: tuple[SpanIdentity, ...]
@@ -352,9 +365,11 @@ def generate_request(
         value = spec.values[int(rng.integers(len(spec.values)))]
         request_tags.setdefault(spec.service, {})[spec.key] = value
 
-    def fired(a: AnomalySpec) -> None:
+    labels = anomaly_labels(anomalies) if ground_truth is not None else []
+
+    def fired(i: int) -> None:
         if ground_truth is not None:
-            ground_truth.activations.setdefault(anomaly_label(a), []).append(request_index)
+            ground_truth.activations.setdefault(labels[i], []).append(request_index)
 
     # Pre-order list of [identity, parent index, start, duration, self, tags].
     spans: list[list] = []
@@ -364,23 +379,23 @@ def generate_request(
         # into gaps before, between and after its stages.
         op = topology.ops[identity]
         base = op.base.draw(rng)
-        for a in anomalies:
+        for i, a in enumerate(anomalies):
             if isinstance(a, ContentionAnomaly) and a.service == identity.service:
                 if a.window is None or a.window[0] <= request_index < a.window[1]:
                     base *= a.factor
-                    fired(a)
+                    fired(i)
         self_us = max(1, _finite_us(base, identity, "latency"))
         tags = dict(request_tags.get(identity.service, {}))
-        for a, canary_routed in zip(anomalies, routed):
+        for i, (a, canary_routed) in enumerate(zip(anomalies, routed)):
             if isinstance(a, RandomDelayAnomaly) and a.target == identity:
                 if rng.random() < a.probability:
                     self_us += _extra_delay_us(a, identity, rng)
-                    fired(a)
+                    fired(i)
             elif isinstance(a, CanaryAnomaly) and a.service == identity.service:
                 if canary_routed:
                     self_us += _extra_delay_us(a, identity, rng)
                     tags[a.tag_key] = a.canary_value
-                    fired(a)
+                    fired(i)
                 else:
                     tags[a.tag_key] = a.stable_value
         span = [identity, parent, start_us, 0, self_us, tags]

@@ -68,10 +68,9 @@ class TagMatrix:
 
 def _first_occurrences(traces: Iterable[Trace], identity: SpanIdentity):
     for trace in traces:
-        selfs = {d.span_id: d.self_segment_us for d in decompose(trace)}
-        for span in trace.preorder():
+        for span, row in zip(trace.preorder(), decompose(trace)):
             if span.identity == identity:
-                yield span, selfs[span.span_id], trace.end_to_end_latency_us()
+                yield span, row.self_segment_us, trace.end_to_end_latency_us()
                 break
 
 
@@ -84,14 +83,12 @@ def build_tag_matrix(traces: Sequence[Trace], identity: SpanIdentity) -> TagMatr
     code_books: dict[str, tuple[str, ...] | None] = {}
     for key in keys:
         raw = [tags.get(key) for tags in tag_rows]
-        numeric = all(v is not None for v in raw)
-        values = None
-        if numeric:
-            try:
-                values = np.array([float(v) for v in raw], dtype=np.float64)
-            except ValueError:
-                numeric = False
-        if numeric and values is not None:
+        try:
+            values = np.array([float(v) for v in raw], dtype=np.float64)  # None raises TypeError
+        except (TypeError, ValueError):
+            values = None
+        # "nan" and "inf" parse, but would make Pearson's r NaN: such a column is labels.
+        if values is not None and np.isfinite(values).all():
             columns[key] = values
             kinds[key] = "numeric"
             code_books[key] = None

@@ -1,9 +1,12 @@
 """Span records, trace assembly, and latency decomposition.
 
-A trace is a tree of spans. Each span's wall-clock duration splits into
-time spent waiting on recorded children (the union of their intervals,
-clipped to the parent) and a self segment, the remainder. All times are
-integer microseconds, so the split is exact: for every span,
+A trace is a tree of spans, held as its preorder: built once, with each
+span's children in (start, span_id) order. Each span's wall-clock
+duration splits into time spent waiting on recorded children (the union
+of their intervals, clipped to the parent) and a self segment, the
+remainder. Because the preorder visits a parent's children in start
+order, that union is one sweep over it. All times are integer
+microseconds, so the split is exact: for every span,
 
     self_segment_us + child_waiting_us == duration_us
 
@@ -13,7 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 class TraceError(ValueError):
@@ -107,20 +110,30 @@ class DecomposedSpan:
 
 
 class Trace:
-    """A validated span tree for one request."""
+    """A span tree for one request, held as its preorder.
+
+    The preorder is built here, once: each span is followed by its
+    children's subtrees, children in (start, span_id) order, so the order
+    never depends on the order of the records. A span that no parent
+    chain links to the root is left out; `build_trace` rejects such trees.
+    """
 
     def __init__(self, trace_id: str, spans: dict[str, SpanRecord], root_id: str):
         self.trace_id = trace_id
         self._spans = spans
         self.root_id = root_id
-        self._children: dict[str, list[str]] = {sid: [] for sid in spans}
-        for rec in spans.values():
+        # Children appended in (start, span_id) order, then walked from the root.
+        children: dict[str, list[SpanRecord]] = {}
+        for rec in sorted(spans.values(), key=lambda r: (r.start_us, r.span_id)):
             if rec.parent_id is not None:
-                self._children[rec.parent_id].append(rec.span_id)
-        # Children sorted by (start, span_id) so traversal order never depends
-        # on input ordering.
-        for sid in self._children:
-            self._children[sid].sort(key=lambda c: (spans[c].start_us, c))
+                children.setdefault(rec.parent_id, []).append(rec)
+        order = []
+        stack = [spans[root_id]]
+        while stack:
+            rec = stack.pop()
+            order.append(rec)
+            stack.extend(reversed(children.get(rec.span_id, ())))
+        self._preorder = order
 
     def __len__(self) -> int:
         return len(self._spans)
@@ -132,15 +145,8 @@ class Trace:
     def span(self, span_id: str) -> SpanRecord:
         return self._spans[span_id]
 
-    def children_of(self, span_id: str) -> list[SpanRecord]:
-        return [self._spans[c] for c in self._children[span_id]]
-
-    def preorder(self) -> Iterator[SpanRecord]:
-        stack = [self.root_id]
-        while stack:
-            sid = stack.pop()
-            yield self._spans[sid]
-            stack.extend(reversed(self._children[sid]))
+    def preorder(self) -> list[SpanRecord]:
+        return self._preorder
 
     def end_to_end_latency_us(self) -> int:
         return self.root.duration_us
@@ -186,58 +192,37 @@ def build_trace(records: Iterable[SpanRecord], lenient: bool = False) -> Trace:
     trace = Trace(trace_id or "", spans, root_id)
     # One root and every parent resolved: a span the root's preorder misses
     # sits on a parent cycle or hangs from one.
-    reached = {rec.span_id for rec in trace.preorder()}
-    if len(reached) < len(spans):
-        raise CycleDetected(f"span {min(spans.keys() - reached)} sits on or under a parent cycle")
+    if len(trace.preorder()) < len(spans):
+        missed = spans.keys() - {rec.span_id for rec in trace.preorder()}
+        raise CycleDetected(f"span {min(missed)} sits on or under a parent cycle")
     return trace
-
-
-def union_duration(intervals: Iterable[tuple[int, int]]) -> int:
-    """Total length covered by a set of [start, end) intervals, overlaps merged."""
-    ivs = sorted(intervals)
-    total = 0
-    cur_start: int | None = None
-    cur_end = 0
-    for start, end in ivs:
-        if end < start:
-            raise ValueError(f"interval end {end} before start {start}")
-        if cur_start is None or start > cur_end:
-            if cur_start is not None:
-                total += cur_end - cur_start
-            cur_start, cur_end = start, end
-        elif end > cur_end:
-            cur_end = end
-    if cur_start is not None:
-        total += cur_end - cur_start
-    return total
 
 
 def decompose(trace: Trace) -> list[DecomposedSpan]:
     """Split every span's duration into child-waiting and self time.
 
-    Child intervals are clipped to the parent's interval before the union,
-    so a child that overruns its parent never drives the self segment
-    negative. Output follows preorder and is independent of the ordering
-    of the records the trace was built from.
+    One sweep over the preorder, which visits each parent's children in
+    start order: the union of their intervals, each clipped to the
+    parent's, grows by the part of a child that lies past how far the
+    parent's earlier children already reach. Clipping keeps the self
+    segment non-negative when a child overruns its parent. Output follows
+    preorder and is independent of the ordering of the records the trace
+    was built from.
     """
+    order = trace.preorder()
+    waiting: dict[str, int] = {}
+    covered: dict[str, int] = {}  # per parent: how far its children's union reaches
+    for rec in order[1:]:  # every span after the root has a parent
+        parent = trace.span(rec.parent_id)
+        lo = max(rec.start_us, covered.get(rec.parent_id, parent.start_us))
+        hi = min(rec.end_us, parent.end_us)
+        if hi > lo:
+            waiting[rec.parent_id] = waiting.get(rec.parent_id, 0) + hi - lo
+            covered[rec.parent_id] = hi
     out = []
-    for rec in trace.preorder():
-        clipped = []
-        for child in trace.children_of(rec.span_id):
-            lo = max(child.start_us, rec.start_us)
-            hi = min(child.end_us, rec.end_us)
-            if hi > lo:
-                clipped.append((lo, hi))
-        waiting = union_duration(clipped)
-        out.append(
-            DecomposedSpan(
-                identity=rec.identity,
-                span_id=rec.span_id,
-                duration_us=rec.duration_us,
-                child_waiting_us=waiting,
-                self_segment_us=rec.duration_us - waiting,
-            )
-        )
+    for rec in order:
+        w = waiting.get(rec.span_id, 0)
+        out.append(DecomposedSpan(rec.identity, rec.span_id, rec.duration_us, w, rec.duration_us - w))
     return out
 
 

@@ -137,6 +137,26 @@ def test_experiment_summary_and_sweep_csv(tmp_path, capsys):
     assert out.read_text().startswith("# config: ")
 
 
+def test_tags_json_is_strict_json_with_a_nan_tag_value(tmp_path, capsys):
+    # One "nan" among numeric tag values once made Pearson's r NaN, which
+    # json.dumps prints as a bare NaN.
+    path = tmp_path / "traces.jsonl"
+    lines = [
+        {"traceId": f"t{i}", "spanId": "s0", "service": "api", "operation": "get",
+         "startUs": 0, "durationUs": 200 if i < 10 else 100,
+         "tags": {"ver": "a" if i < 10 else "b", "shard": "nan" if i == 3 else str(i % 2)}}
+        for i in range(20)
+    ]
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+
+    def reject(constant):
+        raise AssertionError(f"tags --json printed {constant}")
+
+    assert main(["tags", "--in", str(path), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert [row["key"] for row in payload["correlations"]] == ["ver", "shard"]
+
+
 def test_tags_json_output(tmp_path, capsys):
     out = tmp_path / "traces.jsonl"
     rc = main(

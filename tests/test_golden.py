@@ -42,6 +42,7 @@ VOLATILE = {"inference_ms", "timesMs", "medianMs", "workers"}
 GOLDEN = {
     "compare-baselines": "2b2eec8053028446f630c53db679e5bc3724a733ce80b0cee8c73cc8bf6fb198",
     "compare-baselines-file": "5293e3a4baf210eeab2f89d2591436507a9b598efdd553b021e40727a02370e4",
+    "decompose-lenient-orphans": "6f54411e6fbce1c58271ec3b9474a2d2b32e4d39358025834beb618ecd7f3d9c",
     "decompose-social-thinned": "4590f40367bf62527dfb0fd595aab0a32184ef2e763eb19fb82dda3c9301dd6e",
     "experiment-csv": "05e2dccba4c97a67a45acf4565c7059b36ce3ac35e7875847fe548307cb84eab",
     "experiment-summary": "52dd088a9c6b74350529dc2deace1236d159aeb7670a2c69e1681d6572799406",
@@ -157,6 +158,14 @@ def digests(golden_dir):
     _run(["decompose", "--in", thinned, "--out", thinned_csv])
     out["simulate-social-thinned"] = _sha_file(thinned)
     out["decompose-social-thinned"] = _sha_file(thinned_csv)
+
+    # Every span whose id ends in 1 or 5 removed: a quarter of the rest are
+    # orphans, which --lenient re-parents under the root.
+    holed, holed_csv = d / "social-holed.jsonl", d / "social-holed.csv"
+    with open(d / "social.jsonl") as src, open(holed, "w") as dst:
+        dst.writelines(line for line in src if json.loads(line)["spanId"][-1] not in "15")
+    _run(["decompose", "--lenient", "--in", holed, "--out", holed_csv])
+    out["decompose-lenient-orphans"] = _sha_file(holed_csv)
 
     rows = run_one(RunConfig(preset="social"), 0).rows
     out["run_one-social"] = _sha_json([dataclasses.asdict(r) for r in rows])

@@ -30,7 +30,7 @@ from spanbandit import (
     simulate_workload,
     with_seed,
 )
-from spanbandit.simulator import anomaly_label, faulty_identities, request_rng
+from spanbandit.simulator import anomaly_label, anomaly_labels, faulty_identities, request_rng
 
 ROOT = SpanIdentity("web", "handle")
 MID = SpanIdentity("svc", "mid")
@@ -337,6 +337,32 @@ def test_two_canaries_on_one_service_route_apart():
     # Only the first canary routes, so it fires once per span of the service.
     assert truth.activation_counts() == {"canary:recommend": len(spans)}
     assert {(r.tags["k1"], r.tags["k2"]) for r in spans} == {("canary", "stable")}
+
+
+def test_repeated_anomaly_labels_get_positional_suffixes():
+    post = ContentionAnomaly("post-store", 3.0, (0, 10))
+    delay = RandomDelayAnomaly(SpanIdentity("text", "process"), 0.3)
+    anomalies = (post, delay, dataclasses.replace(post, window=(20, 30)), delay, post)
+    assert anomaly_labels(anomalies) == [
+        "contention:post-store",
+        "random_delay:text/process",
+        "contention:post-store#2",
+        "random_delay:text/process#2",
+        "contention:post-store#3",
+    ]
+    assert anomaly_labels(anomalies[:2]) == [anomaly_label(a) for a in anomalies[:2]]
+
+
+def test_two_contention_windows_on_one_service_report_apart():
+    preset = get_preset("social")
+    anomalies = (
+        ContentionAnomaly("post-store", 3.0, (0, 10)),
+        ContentionAnomaly("post-store", 3.0, (20, 30)),
+    )
+    _, truth = simulate_workload(preset.topology, anomalies, WorkloadSpec(num_requests=40))
+    assert set(truth.activations) == {"contention:post-store", "contention:post-store#2"}
+    assert set(truth.activations["contention:post-store"]) == set(range(0, 10))
+    assert set(truth.activations["contention:post-store#2"]) == set(range(20, 30))
 
 
 def test_closed_loop_is_deterministic_up_to_timing():

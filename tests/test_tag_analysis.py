@@ -85,6 +85,25 @@ def test_numeric_requires_all_rows_present():
     assert m.kinds["weight"] == "label"
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+def test_non_finite_tag_value_makes_a_label_column(value):
+    # "ver" splits latency perfectly (a slow, b fast); "shard" alternates
+    # 0 and 1, except in one trace where it reads `value`.
+    traces = [
+        _tagged_trace(f"t{i}", 200 if i < 10 else 100,
+                      {"ver": "a" if i < 10 else "b", "shard": value if i == 3 else str(i % 2)})
+        for i in range(20)
+    ]
+    m = build_tag_matrix(traces, IDENT)
+    assert m.kinds["shard"] == "label"
+    assert m.code_books["shard"] == tuple(sorted({"0", "1", value}))
+    assert all(np.isfinite(row.r) for row in correlation_report(m))
+    best = strongest_tag(traces)
+    assert best is not None
+    assert (best[0], best[1].key) == (IDENT, "ver")
+    assert best[1].r == pytest.approx(-1.0)
+
+
 def test_first_occurrence_per_trace():
     recs = [
         SpanRecord("t0", "root", None, IDENT, 0, 100, {"v": "first"}),

@@ -1,8 +1,11 @@
 """Span tree assembly, interval math, and the JSONL wire format."""
 import json
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spanbandit import (
     CycleDetected,
@@ -18,7 +21,6 @@ from spanbandit import (
     read_traces_jsonl,
     span_from_json,
     span_to_json,
-    union_duration,
     write_traces_jsonl,
 )
 
@@ -53,27 +55,79 @@ def test_span_record_rejects_non_integer_times():
         _span("s1", None, 0, -1)
 
 
-def test_union_duration_examples():
-    assert union_duration([]) == 0
-    assert union_duration([(0, 10)]) == 10
-    assert union_duration([(0, 10), (5, 15), (20, 30)]) == 25
-    assert union_duration([(0, 10), (10, 20)]) == 20
-    assert union_duration([(3, 3)]) == 0
-    with pytest.raises(ValueError):
-        union_duration([(5, 4)])
+def _waiting_under_root(root_dur, children):
+    recs = [_span("p", None, 0, root_dur, WEB)]
+    recs += [_span(f"c{i}", "p", start, end - start) for i, (start, end) in enumerate(children)]
+    return decompose(build_trace(recs))[0].child_waiting_us
 
 
-def test_union_duration_matches_grid_count():
-    rng = np.random.default_rng(7)
-    for _ in range(200):
-        n = int(rng.integers(1, 9))
-        starts = rng.integers(0, 50, size=n)
-        lengths = rng.integers(0, 30, size=n)
-        ivs = [(int(s), int(s + l)) for s, l in zip(starts, lengths)]
+def test_decompose_union_examples():
+    # A parent of [0, 30) waits on the union of its children's intervals.
+    assert _waiting_under_root(30, []) == 0
+    assert _waiting_under_root(30, [(0, 10)]) == 10
+    assert _waiting_under_root(30, [(0, 10), (5, 15), (20, 30)]) == 25
+    assert _waiting_under_root(30, [(0, 10), (10, 20)]) == 20
+    assert _waiting_under_root(30, [(3, 3)]) == 0
+    assert _waiting_under_root(30, [(5, 8), (0, 30), (3, 3)]) == 30
+    with pytest.raises(ValueError, match="negative duration"):
+        _waiting_under_root(30, [(5, 4)])
+
+
+@st.composite
+def span_trees(draw):
+    """Random span records on a coarse grid, so that children often touch,
+    overlap, have zero length, start before or overrun their parent.
+
+    Returns (records, parent of each span once orphans are re-parented).
+    A span drawn as an orphan names a parent that is not in the trace.
+    """
+    n = draw(st.integers(1, 12))
+    times = st.integers(0, 24).map(lambda t: 5 * t)
+    recs = [_span("s0", None, draw(times), draw(times), WEB)]
+    parents = {"s0": None}
+    for i in range(1, n):
+        parent = f"s{draw(st.integers(0, i - 1))}"
+        orphan = draw(st.booleans()) and draw(st.booleans())
+        tags = draw(st.dictionaries(st.sampled_from("abc"), st.sampled_from(["1", "x", ""]), max_size=2))
+        sid = f"s{i}"
+        recs.append(_span(sid, f"ghost{i}" if orphan else parent, draw(times), draw(times),
+                          draw(st.sampled_from([WEB, DB])), tags=tags))
+        parents[sid] = "s0" if orphan else parent
+    return recs, parents
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(tree=span_trees(), seed=st.integers(0, 2**32 - 1))
+def test_decompose_waiting_matches_brute_force_count(tree, seed):
+    recs, parents = tree
+    if any(r.parent_id != parents[r.span_id] for r in recs):
+        with pytest.raises(OrphanSpan):
+            build_trace(recs)
+    trace = build_trace(recs, lenient=True)
+    rows = decompose(trace)
+    assert [d.span_id for d in rows] == [r.span_id for r in trace.preorder()]
+    assert sorted(d.span_id for d in rows) == sorted(parents)
+
+    # Waiting is the count of microseconds the clipped children cover.
+    by_id = {r.span_id: r for r in recs}
+    for d in rows:
+        p = by_id[d.span_id]
         covered = set()
-        for s, e in ivs:
-            covered.update(range(s, e))
-        assert union_duration(ivs) == len(covered)
+        for c in recs:
+            if parents[c.span_id] == d.span_id:
+                covered.update(range(max(c.start_us, p.start_us), min(c.end_us, p.end_us)))
+        assert d.child_waiting_us == len(covered)
+        assert d.duration_us == d.child_waiting_us + d.self_segment_us
+        assert d.self_segment_us >= 0
+
+    shuffled = list(recs)
+    random.Random(seed).shuffle(shuffled)
+    again = build_trace(shuffled, lenient=True)
+    assert decompose(again) == rows
+    assert list(again.preorder()) == list(trace.preorder())
+
+    for r in recs:
+        assert span_from_json(span_to_json(r)) == r
 
 
 def test_decompose_two_overlapping_children():
