@@ -33,9 +33,9 @@ def main():
 
     best = strongest_tag(traces, target="e2e")
     if best:
-        found_ident, found = best
+        found_matrix, found = best
         print(f"\nstrongest over all identities: {found.key} on "
-              f"{found_ident.label()} (r = {found.r:.3f})")
+              f"{found_matrix.identity.label()} (r = {found.r:.3f})")
 
 
 if __name__ == "__main__":

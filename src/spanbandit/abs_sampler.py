@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .belief import BeliefStore, json_integer, posterior_variance, write_json
-from .trace_model import SpanIdentity
+from .trace_model import SpanIdentity, identity_from_json, identity_to_json
 
 GRID_BINS = 64
 TAIL_NODES = 12
@@ -277,9 +277,7 @@ def policy_to_json_dict(policy: SamplingPolicy) -> dict:
         "percentile": policy.percentile,
         "entries": [
             {
-                "service": identity.service,
-                "operation": identity.operation,
-                "url": identity.url,
+                **identity_to_json(identity),
                 "probability": policy.entries[identity],
                 "vitalProbability": policy.vital.get(identity, policy.entries[identity]),
             }
@@ -306,7 +304,7 @@ def policy_from_json_dict(obj: dict) -> SamplingPolicy:
         percentile=_checked(obj, "percentile", lambda v: 0.0 < v <= 100.0, "(0, 100]"),
     )
     for row in obj["entries"]:
-        identity = SpanIdentity(row["service"], row["operation"], row.get("url", ""))
+        identity = identity_from_json(row)
         policy.entries[identity] = _checked(row, "probability", _unit, "[0, 1]")
         policy.vital[identity] = _checked(row, "vitalProbability", _unit, "[0, 1]")
     return policy

@@ -29,7 +29,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .trace_model import SpanIdentity, Trace
+from .trace_model import SpanIdentity, Trace, identity_from_json, identity_to_json
 from .utility import UtilityEstimate, compute_batch_utilities, measure_min_samples
 
 PARAM_FLOOR = 1e-9
@@ -162,13 +162,7 @@ def store_to_json_dict(store: BeliefStore) -> dict:
         "lambda": store.lam,
         "mode": store.mode,
         "beliefs": [
-            {
-                "service": identity.service,
-                "operation": identity.operation,
-                "url": identity.url,
-                "alpha": b.alpha,
-                "beta": b.beta,
-            }
+            {**identity_to_json(identity), "alpha": b.alpha, "beta": b.beta}
             for identity, b in sorted(store.beliefs.items())
         ],
     }
@@ -188,8 +182,7 @@ def store_from_json_dict(obj: dict) -> BeliefStore:
     epoch = json_integer(obj["epoch"], "epoch", InvalidBelief)
     store = BeliefStore(lam=float(obj["lambda"]), mode=str(obj["mode"]), epoch=epoch)
     for row in obj["beliefs"]:
-        identity = SpanIdentity(row["service"], row["operation"], row.get("url", ""))
-        store.beliefs[identity] = BetaBelief(float(row["alpha"]), float(row["beta"]))
+        store.beliefs[identity_from_json(row)] = BetaBelief(float(row["alpha"]), float(row["beta"]))
     return store
 
 

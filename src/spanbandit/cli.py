@@ -216,23 +216,21 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_tags(args) -> int:
     traces = read_traces_jsonl(args.input, lenient=args.lenient)
-    identity = None
     if args.service or args.operation:
         if not (args.service and args.operation):
             raise ValueError("--service and --operation must be given together")
-        identity = SpanIdentity(args.service, args.operation, args.url or "")
-    if identity is None:
-        best = strongest_tag(traces, None, target=args.target)
+        matrix = build_tag_matrix(traces, SpanIdentity(args.service, args.operation, args.url or ""))
+    else:
+        best = strongest_tag(traces, target=args.target)
         if best is None:
             raise ValueError("no tagged spans with usable variation found")
-        identity = best[0]
-    matrix = build_tag_matrix(traces, identity)
+        matrix = best[0]
     rows = correlation_report(matrix, target=args.target)
     if args.json:
         _print_json(
             {
                 "command": "tags",
-                "identity": identity.label(),
+                "identity": matrix.identity.label(),
                 "rows": matrix.num_rows,
                 "target": args.target,
                 "correlations": [asdict(r) for r in rows],
@@ -240,7 +238,7 @@ def _cmd_tags(args) -> int:
             }
         )
         return 0
-    print(f"identity: {identity.label()}  rows: {matrix.num_rows}  target: {args.target}")
+    print(f"identity: {matrix.identity.label()}  rows: {matrix.num_rows}  target: {args.target}")
     print(f"{'tag':<24} {'kind':<8} {'r':>9}  flags")
     for row in rows:
         flag = "degenerate" if row.degenerate else ""

@@ -357,39 +357,38 @@ def _media_rows():
 _DEFAULT_WORKLOAD = WorkloadSpec(num_requests=1000, request_sampling_rate=1.0, batch_size=50, rng_seed=1)
 
 
+# name -> (rows, root, target of the default delay fault, description)
+_BASES = {
+    "social": (
+        _social_rows,
+        SpanIdentity("gateway", "compose-post", "/api/v1/post"),
+        SpanIdentity("text", "process"),
+        "feed composer with wide parallel fan-out; delay fault in text processing",
+    ),
+    "rail": (
+        _rail_rows,
+        SpanIdentity("gateway", "book-ticket", "/api/v1/book"),
+        SpanIdentity("security", "check"),
+        "booking flow with deep sequential chains and shared helpers; delay fault in the security check",
+    ),
+    "media": (
+        _media_rows,
+        SpanIdentity("edge", "render-page", "/page/watch"),
+        SpanIdentity("moderate", "filter"),
+        "watch-page render mixing fan-out and chains; delay fault in comment moderation",
+    ),
+}
+
+
 @lru_cache(maxsize=None)
 def get_preset(name: str) -> Preset:
-    if name == "social":
-        ops = _ops(_social_rows())
-        topology = TopologySpec(root=SpanIdentity("gateway", "compose-post", "/api/v1/post"), operations=ops)
-        fault = RandomDelayAnomaly(target=SpanIdentity("text", "process"))
+    if name in _BASES:
+        rows, root, target, description = _BASES[name]
         return Preset(
-            name="social",
-            description="feed composer with wide parallel fan-out; delay fault in text processing",
-            topology=topology,
-            anomalies=(fault,),
-            workload=_DEFAULT_WORKLOAD,
-        )
-    if name == "rail":
-        ops = _ops(_rail_rows())
-        topology = TopologySpec(root=SpanIdentity("gateway", "book-ticket", "/api/v1/book"), operations=ops)
-        fault = RandomDelayAnomaly(target=SpanIdentity("security", "check"))
-        return Preset(
-            name="rail",
-            description="booking flow with deep sequential chains and shared helpers; delay fault in the security check",
-            topology=topology,
-            anomalies=(fault,),
-            workload=_DEFAULT_WORKLOAD,
-        )
-    if name == "media":
-        ops = _ops(_media_rows())
-        topology = TopologySpec(root=SpanIdentity("edge", "render-page", "/page/watch"), operations=ops)
-        fault = RandomDelayAnomaly(target=SpanIdentity("moderate", "filter"))
-        return Preset(
-            name="media",
-            description="watch-page render mixing fan-out and chains; delay fault in comment moderation",
-            topology=topology,
-            anomalies=(fault,),
+            name=name,
+            description=description,
+            topology=TopologySpec(root=root, operations=_ops(rows())),
+            anomalies=(RandomDelayAnomaly(target=target),),
             workload=_DEFAULT_WORKLOAD,
         )
     if name == "media-canary":
@@ -417,4 +416,4 @@ def get_preset(name: str) -> Preset:
 
 
 def preset_names() -> tuple[str, ...]:
-    return ("social", "rail", "media", "media-canary")
+    return (*_BASES, "media-canary")

@@ -32,7 +32,7 @@ import numpy as np
 
 from .abs_sampler import SamplingPolicy, VitalSetConfig, build_policy, report
 from .belief import BeliefStore, json_integer, learn_batch, write_json
-from .trace_model import SpanIdentity, SpanRecord, Trace
+from .trace_model import SpanIdentity, SpanRecord, Trace, identity_from_json, identity_to_json
 
 
 class InvalidTopology(ValueError):
@@ -628,14 +628,6 @@ def shift_anomaly(
 # --- one-document spec format --------------------------------------------
 
 
-def _identity_dict(identity: SpanIdentity) -> dict:
-    return {"service": identity.service, "operation": identity.operation, "url": identity.url}
-
-
-def _identity_from(obj: dict) -> SpanIdentity:
-    return SpanIdentity(obj["service"], obj["operation"], obj.get("url", ""))
-
-
 def _service_tag_from(obj: dict) -> ServiceTagSpec:
     # tuple() of a JSON string would split it into one tag value per character.
     values = obj["values"]
@@ -648,7 +640,7 @@ def anomaly_to_dict(a: AnomalySpec) -> dict:
     if isinstance(a, RandomDelayAnomaly):
         return {
             "kind": "random_delay",
-            "target": _identity_dict(a.target),
+            "target": identity_to_json(a.target),
             "probability": a.probability,
             "delayMeanUs": a.delay_mean_us,
             "delayStdUs": a.delay_std_us,
@@ -676,7 +668,7 @@ def anomaly_from_dict(obj: dict) -> AnomalySpec:
     kind = obj["kind"]
     if kind == "random_delay":
         return RandomDelayAnomaly(
-            target=_identity_from(obj["target"]),
+            target=identity_from_json(obj["target"]),
             probability=float(obj["probability"]),
             delay_mean_us=float(obj["delayMeanUs"]),
             delay_std_us=float(obj["delayStdUs"]),
@@ -706,14 +698,14 @@ def spec_to_json_dict(
 ) -> dict:
     return {
         "topology": {
-            "root": _identity_dict(topology.root),
+            "root": identity_to_json(topology.root),
             "operations": [
                 {
-                    **_identity_dict(op.identity),
+                    **identity_to_json(op.identity),
                     "muLog": op.base.mu_log,
                     "sigmaLog": op.base.sigma_log,
                     "calls": [
-                        {**_identity_dict(c.callee), "mode": c.mode} for c in op.calls
+                        {**identity_to_json(c.callee), "mode": c.mode} for c in op.calls
                     ],
                 }
                 for op in topology.operations
@@ -737,17 +729,17 @@ def spec_from_json_dict(obj: dict) -> tuple[TopologySpec, tuple[AnomalySpec, ...
     topo = obj["topology"]
     operations = tuple(
         OperationSpec(
-            identity=_identity_from(op),
+            identity=identity_from_json(op),
             base=LatencyModel(float(op["muLog"]), float(op["sigmaLog"])),
             calls=tuple(
-                CallSpec(_identity_from(c), c.get("mode", "sequential"))
+                CallSpec(identity_from_json(c), c.get("mode", "sequential"))
                 for c in op.get("calls", [])
             ),
         )
         for op in topo["operations"]
     )
     topology = TopologySpec(
-        root=_identity_from(topo["root"]),
+        root=identity_from_json(topo["root"]),
         operations=operations,
         service_tags=tuple(_service_tag_from(t) for t in topo.get("serviceTags", [])),
     )
@@ -778,7 +770,7 @@ def load_spec(path: str) -> tuple[TopologySpec, tuple[AnomalySpec, ...], Workloa
 
 def ground_truth_to_json_dict(truth: GroundTruth) -> dict:
     return {
-        "faulty": [_identity_dict(i) for i in truth.faulty],
+        "faulty": [identity_to_json(i) for i in truth.faulty],
         "activations": {k: v for k, v in sorted(truth.activations.items())},
     }
 

@@ -14,24 +14,36 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .trace_model import SpanIdentity, Trace, decompose
+from .trace_model import SpanIdentity, SpanRecord, Trace, decompose
 
 
 class LengthMismatch(ValueError):
     pass
 
 
+def _degenerate(x: np.ndarray) -> bool:
+    """Fewer than two rows, or one value in every row: no correlation to measure."""
+    return bool(x.size < 2 or x.min() == x.max())
+
+
+def _scaled(x: np.ndarray) -> np.ndarray:
+    """x times the power of two that brings max |x| into [0.5, 1).
+
+    The scaling is exact, so r keeps its bits, and the sums of squares
+    behind r cannot overflow, as they do for values near 1e308.
+    """
+    return np.ldexp(x, -np.frexp(np.max(np.abs(x)))[1])
+
+
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
-    """Pearson correlation; 0.0 when either side has no variance."""
+    """Pearson correlation; 0.0 when either side is degenerate."""
     xa = np.asarray(x, dtype=np.float64)
     ya = np.asarray(y, dtype=np.float64)
     if xa.shape != ya.shape:
         raise LengthMismatch(f"length mismatch: {xa.shape} vs {ya.shape}")
-    if xa.size < 2:
+    if _degenerate(xa) or _degenerate(ya):
         return 0.0
-    if float(np.std(xa)) == 0.0 or float(np.std(ya)) == 0.0:
-        return 0.0
-    return float(np.corrcoef(xa, ya)[0, 1])
+    return float(np.corrcoef(_scaled(xa), _scaled(ya))[0, 1])
 
 
 @dataclass(frozen=True)
@@ -66,16 +78,25 @@ class TagMatrix:
         raise ValueError(f"unknown target {which!r}")
 
 
-def _first_occurrences(traces: Iterable[Trace], identity: SpanIdentity):
+def _first_occurrences(traces: Iterable[Trace]) -> dict[SpanIdentity, list[tuple[SpanRecord, int, int]]]:
+    """Each identity's first occurrence per trace, with its self time and the
+    trace's end-to-end latency, from one `decompose` per trace."""
+    rows: dict[SpanIdentity, list[tuple[SpanRecord, int, int]]] = {}
     for trace in traces:
+        e2e = trace.end_to_end_latency_us()
+        first: dict[SpanIdentity, tuple[SpanRecord, int, int]] = {}
         for span, row in zip(trace.preorder(), decompose(trace)):
-            if span.identity == identity:
-                yield span, row.self_segment_us, trace.end_to_end_latency_us()
-                break
+            first.setdefault(span.identity, (span, row.self_segment_us, e2e))
+        for identity, occurrence in first.items():
+            rows.setdefault(identity, []).append(occurrence)
+    return rows
 
 
 def build_tag_matrix(traces: Sequence[Trace], identity: SpanIdentity) -> TagMatrix:
-    rows = list(_first_occurrences(traces, identity))
+    return _tag_matrix(identity, _first_occurrences(traces).get(identity, []))
+
+
+def _tag_matrix(identity: SpanIdentity, rows: list[tuple[SpanRecord, int, int]]) -> TagMatrix:
     tag_rows = [span.tags for span, _, _ in rows]
     keys = sorted({k for tags in tag_rows for k in tags})
     columns: dict[str, np.ndarray] = {}
@@ -119,7 +140,7 @@ class CorrelationRow:
     key: str
     r: float
     kind: str
-    degenerate: bool  # constant column or constant target; r pinned to 0
+    degenerate: bool  # fewer than 2 rows, or a constant column or target; r pinned to 0
     num_rows: int
 
 
@@ -128,36 +149,24 @@ def correlation_report(matrix: TagMatrix, target: str = "self") -> tuple[Correla
     rows = []
     for key in matrix.keys:
         x = matrix.columns[key]
-        degenerate = x.size < 2 or float(np.std(x)) == 0.0 or float(np.std(y)) == 0.0
-        r = 0.0 if degenerate else pearson(x, y)
+        degenerate = _degenerate(x) or _degenerate(y)  # pearson's r is 0.0 exactly then
+        r = pearson(x, y)
         rows.append(CorrelationRow(key=key, r=r, kind=matrix.kinds[key], degenerate=degenerate, num_rows=x.size))
     return tuple(sorted(rows, key=lambda row: (-abs(row.r), row.key)))
 
 
 def strongest_tag(
-    traces: Sequence[Trace],
-    identity: SpanIdentity | None = None,
-    target: str = "self",
-) -> tuple[SpanIdentity, CorrelationRow] | None:
-    """Best |r| tag over one identity, or over all identities when None."""
-    if identity is not None:
-        candidates = [identity]
-    else:
-        seen: list[SpanIdentity] = []
-        for trace in traces:
-            for span in trace.preorder():
-                if span.tags and span.identity not in seen:
-                    seen.append(span.identity)
-        candidates = sorted(seen)
-    best: tuple[SpanIdentity, CorrelationRow] | None = None
-    for cand in candidates:
-        matrix = build_tag_matrix(traces, cand)
-        if matrix.num_rows == 0 or not matrix.keys:
-            continue
-        for row in correlation_report(matrix, target):
-            if row.degenerate:
-                continue
-            if best is None or abs(row.r) > abs(best[1].r):
-                best = (cand, row)
-            break
+    traces: Sequence[Trace], target: str = "self"
+) -> tuple[TagMatrix, CorrelationRow] | None:
+    """Best |r| tag over every identity, with that identity's matrix.
+
+    Identities are tried in sorted order and a later one must beat the
+    best |r| strictly; degenerate rows never win.
+    """
+    best: tuple[TagMatrix, CorrelationRow] | None = None
+    for identity, rows in sorted(_first_occurrences(traces).items()):
+        matrix = _tag_matrix(identity, rows)
+        row = next((r for r in correlation_report(matrix, target) if not r.degenerate), None)
+        if row is not None and (best is None or abs(row.r) > abs(best[1].r)):
+            best = (matrix, row)
     return best

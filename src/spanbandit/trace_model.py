@@ -75,6 +75,15 @@ class SpanIdentity:
         return f"{base}[{self.url}]" if self.url else base
 
 
+def identity_to_json(identity: SpanIdentity) -> dict:
+    """The {service, operation, url} object of the belief, policy, spec and truth files."""
+    return {"service": identity.service, "operation": identity.operation, "url": identity.url}
+
+
+def identity_from_json(obj: dict) -> SpanIdentity:
+    return SpanIdentity(obj["service"], obj["operation"], obj.get("url", ""))
+
+
 @dataclass
 class SpanRecord:
     """One observed span instance inside a trace."""

@@ -107,12 +107,15 @@ def compute_batch_utilities(
     A batch whose maximum raw score is 0 (constant latencies everywhere)
     normalizes to all zeros rather than dividing by zero.
     """
+    return _score_pools(pool_self_segments(traces), measure)
+
+
+def _score_pools(pools: dict[SpanIdentity, list[int]], measure: str) -> list[UtilityEstimate]:
     if measure not in _MEASURES:
         raise UnknownMeasure(measure)
-    if not traces:
+    if not pools:  # every trace holds a span, so only an empty batch pools nothing
         raise EmptyBatch("cannot score an empty batch of traces")
     spec = _MEASURES[measure]
-    pools = pool_self_segments(traces)
     raws = {}
     for identity, obs in pools.items():
         if len(obs) < spec.min_samples:
@@ -148,17 +151,18 @@ def measure_comparison(
 ) -> list[MeasureComparisonRow]:
     """Rank a known-faulty identity under each measure.
 
-    When every identity scores the same (all-constant latencies, say) the
-    ranking carries no information: the row is flagged ambiguous and no
-    top-k hit is credited.
+    The batch is pooled once, and each measure scores the pools as
+    `compute_batch_utilities` does. When every identity scores the same
+    (all-constant latencies, say) the ranking carries no information: the
+    row is flagged ambiguous and no top-k hit is credited.
     """
     if measures is None:
         measures = ("variance", "std", "coefficient_of_variation", "mean", "max", "p99")
+    pools = pool_self_segments(traces)
     rows = []
     for name in measures:
-        estimates = compute_batch_utilities(traces, name)
-        by_identity = {e.identity: e for e in estimates}
-        if fault_identity not in by_identity:
+        estimates = _score_pools(pools, name)
+        if fault_identity not in pools:
             raise UnknownIdentity(fault_identity.label())
         ranked = sorted(estimates, key=lambda e: (-e.raw, e.identity))
         rank = next(i for i, e in enumerate(ranked, start=1) if e.identity == fault_identity)

@@ -412,3 +412,26 @@ def test_non_integer_count_in_json_file_reports_json_error(tmp_path, capsys, kin
     assert rc == 2
     assert err["error"] == error
     assert key in err["message"]
+
+
+def test_tags_json_is_strict_json_with_huge_and_constant_float_tags(tmp_path, capsys):
+    # A +-1e308 column once overflowed np.std and made r NaN; a constant
+    # "2.2" column once passed as varying, with r a rounding residue.
+    path = tmp_path / "traces.jsonl"
+    lines = [
+        {"traceId": f"t{i}", "spanId": "s0", "service": "api", "operation": "get",
+         "startUs": 0, "durationUs": 100 + 10 * i,
+         "tags": {"huge": "1e308" if i % 2 else "-1e308", "w": "2.2"}}
+        for i in range(20)
+    ]
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+
+    def reject(constant):
+        raise AssertionError(f"tags --json printed {constant}")
+
+    assert main(["tags", "--in", str(path), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+    rows = {row["key"]: row for row in payload["correlations"]}
+    assert rows["huge"]["degenerate"] is False
+    assert rows["w"]["degenerate"] is True
+    assert rows["w"]["r"] == 0.0

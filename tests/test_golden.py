@@ -21,6 +21,7 @@ import json
 import numpy as np
 import pytest
 
+from spanbandit import tag_analysis, utility
 from spanbandit.abs_sampler import VitalSetConfig, build_policy, policy_to_json_dict
 from spanbandit.cli import main
 from spanbandit.experiment import RunConfig, run_one, synthetic_store
@@ -35,7 +36,7 @@ from spanbandit.simulator import (
     shift_anomaly,
     with_seed,
 )
-from spanbandit.trace_model import SpanIdentity
+from spanbandit.trace_model import SpanIdentity, decompose, read_traces_jsonl
 
 VOLATILE = {"inference_ms", "timesMs", "medianMs", "workers"}
 
@@ -60,6 +61,9 @@ GOLDEN = {
     "simulate-rail": "d0e4ee1af82b5d34759fd0e0af16aee52a051323dfbfd05605c510898c411a23",
     "simulate-social": "48c1cbd82ca4da54ac73e15275f735cd5243f1805305160ad4fdb3bd1a67340f",
     "simulate-social-thinned": "92222c535f49b6c5b0f3e9769a0e826b21b38e71eb18e65ad326c5138246122f",
+    "tags-json": "a8baab38abb38ac2264fb17b863cd50490ba9ba593788512c6674bc0fae929ff",
+    "tags-json-e2e": "994ff05ba5c7477d11209999d368b8274972c03bd1b63ba445c1caa100dcb544",
+    "tags-table-recommend": "4b6ba9e5717c01eb2896989ee7ae485f4c6c5553a84dfc8908d7392a8fd55f19",
     "truth-media": "616436f1e6884dca30408619fa9a8d24b18efc1546dc88fd7948d995e7f196a7",
     "truth-media-canary": "56f15075a23d36f82d00ade1b0b41ab2d5a09957ea2f081bdbbf26f7d33313e7",
     "truth-mixed-spec": "e4e7f83a7df6e0daf9e5d30ee2b77b41de39d31862640b7559334d92ad6bccf6",
@@ -109,6 +113,10 @@ def _strip(obj):
 
 def _sha_json(obj) -> str:
     return hashlib.sha256(json.dumps(_strip(obj), sort_keys=True).encode()).hexdigest()
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _sha_file(path) -> str:
@@ -167,6 +175,14 @@ def digests(golden_dir):
     _run(["decompose", "--lenient", "--in", holed, "--out", holed_csv])
     out["decompose-lenient-orphans"] = _sha_file(holed_csv)
 
+    # Tag analysis on the canary file: the strongest tag over every
+    # identity, against two targets, and one named identity's table.
+    canary = d / "media-canary.jsonl"
+    out["tags-json"] = _sha(_run(["tags", "--in", canary, "--json"]))
+    out["tags-json-e2e"] = _sha(_run(["tags", "--in", canary, "--json", "--target", "e2e"]))
+    out["tags-table-recommend"] = _sha(_run(["tags", "--in", canary, "--service", "recommend",
+                                             "--operation", "list"]))
+
     rows = run_one(RunConfig(preset="social"), 0).rows
     out["run_one-social"] = _sha_json([dataclasses.asdict(r) for r in rows])
 
@@ -221,6 +237,32 @@ def test_mixed_spec_fires_every_anomaly(digests, golden_dir):
         "contention:post-store": 137,
         "random_delay:text/process": 72,
     }
+
+
+def test_tag_and_measure_analysis_decompose_each_trace_once(digests, golden_dir, monkeypatch):
+    # Each analysis sweeps the batch once, not once per identity or measure.
+    calls = []
+
+    def counted(trace):
+        calls.append(trace.trace_id)
+        return decompose(trace)
+
+    monkeypatch.setattr(tag_analysis, "decompose", counted)
+    monkeypatch.setattr(utility, "decompose", counted)
+    path = golden_dir / "media-canary.jsonl"
+    traces = read_traces_jsonl(str(path))
+    assert len(traces) == 500
+    counts = {}
+    for name, run in (
+        ("tags --json", lambda: _run(["tags", "--in", path, "--json"])),
+        ("strongest_tag", lambda: tag_analysis.strongest_tag(traces)),
+        ("measure_comparison", lambda: utility.measure_comparison(
+            traces, SpanIdentity("recommend", "list"))),
+    ):
+        calls.clear()
+        run()
+        counts[name] = len(calls)
+    assert counts == {"tags --json": 500, "strongest_tag": 500, "measure_comparison": 500}
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))

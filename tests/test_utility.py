@@ -8,13 +8,16 @@ from spanbandit import (
     SpanRecord,
     UnknownIdentity,
     UnknownMeasure,
+    WorkloadSpec,
     available_measures,
     build_trace,
     compute_batch_utilities,
+    get_preset,
     measure_comparison,
     measure_min_samples,
     pool_self_segments,
     register_measure,
+    simulate_workload,
 )
 
 A = SpanIdentity("svc-a", "op")
@@ -146,3 +149,47 @@ def test_measure_comparison_unknown_identity():
     traces = [_leaf_trace("t0", A, 1)]
     with pytest.raises(UnknownIdentity):
         measure_comparison(traces, B, measures=("mean",))
+
+
+def _reference_comparison(traces, fault, measures):
+    """Each measure ranked from its own compute_batch_utilities call."""
+    rows = []
+    for name in measures:
+        estimates = compute_batch_utilities(traces, name)
+        ranked = sorted(estimates, key=lambda e: (-e.raw, e.identity))
+        rank = next(i for i, e in enumerate(ranked, start=1) if e.identity == fault)
+        raws = [e.raw for e in estimates]
+        ambiguous = max(raws) == min(raws)
+        rows.append((name, rank, *(not ambiguous and rank <= k for k in (1, 3, 5)), ambiguous))
+    return rows
+
+
+def test_measure_comparison_matches_each_measures_own_scoring():
+    preset = get_preset("social")
+    traces, _ = simulate_workload(
+        preset.topology, preset.anomalies, WorkloadSpec(num_requests=150, rng_seed=2)
+    )
+    fault = preset.anomalies[0].target
+    measures = ("variance", "std", "coefficient_of_variation", "mean", "max", "p99")
+    got = [
+        (r.measure, r.fault_rank, r.top1, r.top3, r.top5, r.ambiguous)
+        for r in measure_comparison(traces, fault)
+    ]
+    assert got == _reference_comparison(traces, fault, measures)
+    assert len({rank for _, rank, *_ in got}) > 1  # the measures disagree somewhere
+
+
+@pytest.mark.parametrize(
+    "batch, fault, measures, error",
+    [
+        ("empty", A, ("mean",), EmptyBatch),
+        ("empty", A, ("bogus",), UnknownMeasure),
+        ("one", A, ("mean", "bogus"), UnknownMeasure),
+        ("one", B, ("mean", "bogus"), UnknownIdentity),
+        ("one", B, ("bogus", "mean"), UnknownMeasure),
+    ],
+)
+def test_measure_comparison_errors_in_measure_order(batch, fault, measures, error):
+    traces = [] if batch == "empty" else [_leaf_trace("t0", A, 1)]
+    with pytest.raises(error):
+        measure_comparison(traces, fault, measures=measures)
