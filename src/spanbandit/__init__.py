@@ -84,7 +84,6 @@ from .simulator import (
     load_spec,
     run_closed_loop,
     save_spec,
-    shift_anomaly,
     simulate_workload,
     with_seed,
 )

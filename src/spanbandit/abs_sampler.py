@@ -286,27 +286,25 @@ def policy_to_json_dict(policy: SamplingPolicy) -> dict:
     }
 
 
-def _checked(obj: dict, key: str, in_range, interval: str) -> float:
-    value = float(obj[key])
-    if not in_range(value):  # NaN fails every comparison
-        raise InvalidPolicy(f"{key} must be finite and in {interval}, got {value!r}")
+def _probability(row: dict, key: str) -> float:
+    value = float(row[key])
+    if not 0.0 <= value <= 1.0:  # NaN fails every comparison
+        raise InvalidPolicy(f"{key} must be finite and in [0, 1], got {value!r}")
     return value
 
 
-def _unit(v: float) -> bool:
-    return 0.0 <= v <= 1.0
-
-
 def policy_from_json_dict(obj: dict) -> SamplingPolicy:
+    # VitalSetConfig holds the allowed ranges of the header's P and epsilon.
+    cfg = VitalSetConfig(percentile_p=float(obj["percentile"]), epsilon=float(obj["epsilon"]))
     policy = SamplingPolicy(
         epoch=json_integer(obj["epoch"], "epoch", InvalidPolicy),
-        epsilon=_checked(obj, "epsilon", lambda v: 0.0 <= v < 1.0, "[0, 1)"),
-        percentile=_checked(obj, "percentile", lambda v: 0.0 < v <= 100.0, "(0, 100]"),
+        epsilon=cfg.epsilon,
+        percentile=cfg.percentile_p,
     )
     for row in obj["entries"]:
         identity = identity_from_json(row)
-        policy.entries[identity] = _checked(row, "probability", _unit, "[0, 1]")
-        policy.vital[identity] = _checked(row, "vitalProbability", _unit, "[0, 1]")
+        policy.entries[identity] = _probability(row, "probability")
+        policy.vital[identity] = _probability(row, "vitalProbability")
     return policy
 
 

@@ -28,15 +28,39 @@ from .utility import UtilityEstimate
 
 # Fixed settings of the contenders: the (epsilon, delta) confidence pair of
 # both elimination baselines, and the belief sampler's per-epoch draws per
-# live arm, belief update and exploration floor.
+# live arm and belief update; its exploration floor is the planner's default.
 EPSILON = 0.4
 DELTA = 0.2
 EGE_MAX_ROUNDS = 30
 ABS_DRAWS_PER_ARM = 4
 ABS_LAM = 0.1
 ABS_MODE = "discounted_count"
-ABS_EPSILON = 0.05
 ABS_MAX_EPOCHS = 40
+# The synthetic arm layouts make_arm_env builds.
+ENV_KINDS = ("skewed", "uniform")
+
+
+@dataclass(frozen=True)
+class ComparisonConfig:
+    num_arms: int = 50
+    budget: int = 2000
+    env_kind: str = "skewed"
+    seed: int = 0
+    ege_quota_cap: int = 24
+    ege_me_cap: int = 6
+    abs_percentile: float = 90.0
+
+    def __post_init__(self) -> None:
+        # A zero cap samples nothing and ranks arms on NaN means; the skewed
+        # layout needs one high arm and one decoy.
+        least = {"num_arms": 2 if self.env_kind == "skewed" else 1,
+                 "budget": 1, "ege_quota_cap": 1, "ege_me_cap": 1}
+        for name, floor in least.items():
+            value = getattr(self, name)
+            if value < floor:
+                raise ValueError(
+                    f"ComparisonConfig.{name} must be at least {floor}, got {value!r}"
+                )
 
 
 class BudgetExhausted(RuntimeError):
@@ -85,7 +109,7 @@ class ArmEnvironment:
         return tuple(sorted(order[:k]))
 
 
-def make_arm_env(num_arms: int = 50, kind: str = "skewed", seed: int = 0) -> ArmEnvironment:
+def make_arm_env(num_arms: int, kind: str, seed: int = 0) -> ArmEnvironment:
     """Synthetic arm sets.
 
     "skewed": a few clearly high arms, a band of decoys below them, and a
@@ -108,7 +132,7 @@ def make_arm_env(num_arms: int = 50, kind: str = "skewed", seed: int = 0) -> Arm
     elif kind == "uniform":
         means = rng.uniform(0.2, 0.8, num_arms)
     else:
-        raise ValueError(f"unknown environment kind {kind!r}")
+        raise ValueError(f"unknown environment kind {kind!r}; one of {ENV_KINDS}")
     return ArmEnvironment(tuple(float(m) for m in means))
 
 
@@ -246,7 +270,7 @@ def abs_run(
     env: ArmEnvironment,
     budget: SampleBudget,
     seed: int = 0,
-    percentile: float = 90.0,
+    percentile: float = ComparisonConfig.abs_percentile,
 ) -> EliminationOutcome:
     """The belief sampler driving elimination on the same arm interface.
 
@@ -278,36 +302,13 @@ def abs_run(
             for a in survivors
         ]
         update_epoch(store, estimates)
-        policy = build_policy(store, VitalSetConfig(percentile, ABS_EPSILON))
+        policy = build_policy(store, VitalSetConfig(percentile))
         for a in survivors:
             if policy.eliminated(identities[a]):
                 del store.beliefs[identities[a]]
         survivors = [a for a in survivors if identities[a] in store.beliefs]
         trail.append((budget.used, len(survivors)))
     return EliminationOutcome("belief_sampler", tuple(survivors), budget.used, tuple(trail))
-
-
-@dataclass(frozen=True)
-class ComparisonConfig:
-    num_arms: int = 50
-    budget: int = 2000
-    env_kind: str = "skewed"
-    seed: int = 0
-    ege_quota_cap: int = 24
-    ege_me_cap: int = 6
-    abs_percentile: float = 90.0
-
-    def __post_init__(self) -> None:
-        # A zero cap samples nothing and ranks arms on NaN means; the skewed
-        # layout needs one high arm and one decoy.
-        least = {"num_arms": 2 if self.env_kind == "skewed" else 1,
-                 "budget": 1, "ege_quota_cap": 1, "ege_me_cap": 1}
-        for name, floor in least.items():
-            value = getattr(self, name)
-            if value < floor:
-                raise ValueError(
-                    f"ComparisonConfig.{name} must be at least {floor}, got {value!r}"
-                )
 
 
 @dataclass

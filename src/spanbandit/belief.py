@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .trace_model import SpanIdentity, Trace, identity_from_json, identity_to_json
-from .utility import UtilityEstimate, compute_batch_utilities, measure_min_samples
+from .utility import DEFAULT_MEASURE, UtilityEstimate, compute_batch_utilities, measure_min_samples
 
 PARAM_FLOOR = 1e-9
 UPDATE_MODES = ("verbatim_ewma", "discounted_count")
@@ -65,7 +65,7 @@ class BetaBelief:
 
 def init_belief() -> BetaBelief:
     """Uninformed prior: Beta(1, 1), the uniform distribution."""
-    return BetaBelief(1.0, 1.0)
+    return BetaBelief()
 
 
 def posterior_variance(b: BetaBelief) -> float:
@@ -77,9 +77,10 @@ def posterior_variance(b: BetaBelief) -> float:
 class BeliefStore:
     """All per-identity beliefs plus the update configuration.
 
-    The store is mutated only by its owning controller loop; anything that
-    reads concurrently (the planner, report writers) should take a
-    snapshot() instead.
+    `update_epoch` mutates the store in place; snapshot() returns an
+    independent copy for a caller that needs the state as it was. The
+    `lam` and `mode` defaults here are the library's: the controller
+    config, the harness and the CLI name these fields.
     """
 
     lam: float = 0.3
@@ -133,7 +134,7 @@ def update_epoch(store: BeliefStore, estimates: Iterable[UtilityEstimate]) -> Be
 
 
 def learn_batch(
-    store: BeliefStore, traces: Sequence[Trace], measure: str = "variance"
+    store: BeliefStore, traces: Sequence[Trace], measure: str = DEFAULT_MEASURE
 ) -> list[UtilityEstimate]:
     """The learning half of one epoch: score the batch, then update the store.
 

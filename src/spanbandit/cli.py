@@ -11,7 +11,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 from .abs_sampler import (
     VitalSetConfig,
@@ -20,9 +20,12 @@ from .abs_sampler import (
     report,
     save_policy,
 )
-from .baselines import ComparisonConfig, compare_elimination
-from .belief import BeliefStore, learn_batch, load_store, save_store, write_json
+from .baselines import ENV_KINDS, ComparisonConfig, compare_elimination
+from .belief import UPDATE_MODES, BeliefStore, learn_batch, load_store, save_store, write_json
 from .experiment import (
+    DETECT_THRESHOLD,
+    SWEEPABLE,
+    WITHIN_TRACES,
     RunConfig,
     bench_inference,
     run_experiment,
@@ -36,26 +39,22 @@ from .simulator import (
     load_spec,
     simulate_workload,
 )
-from .tag_analysis import build_tag_matrix, correlation_report, strongest_tag
+from .tag_analysis import DEFAULT_TARGET, TARGETS, build_tag_matrix, correlation_report, strongest_tag
 from .trace_model import (
     SpanIdentity,
     decompose,
     read_traces_jsonl,
     write_traces_jsonl,
 )
+from .utility import DEFAULT_MEASURE
 from .version import VERSION
-
-
-def _env_seed() -> int | None:
-    raw = os.environ.get("SPANBANDIT_SEED")
-    return int(raw) if raw is not None and raw != "" else None
 
 
 def _resolve_seed(args, fallback: int = 0) -> int:
     if getattr(args, "seed", None) is not None:
         return args.seed
-    env = _env_seed()
-    return env if env is not None else fallback
+    raw = os.environ.get("SPANBANDIT_SEED")
+    return int(raw) if raw else fallback
 
 
 def _print_json(obj) -> None:
@@ -185,18 +184,14 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    seeds = tuple(int(s) for s in args.seeds.split(",") if s != "")
+    if not 0.0 < args.threshold <= 1.0:  # NaN fails every comparison
+        raise ValueError(f"--threshold must lie in (0, 1], got {args.threshold}")
+    if args.within < 1:
+        raise ValueError(f"--within must be at least 1, got {args.within}")
+    # Every RunConfig field but the seed list has a flag of the same dest.
     config = RunConfig(
-        preset=args.preset,
-        seeds=seeds,
-        num_epochs=args.epochs,
-        batch_size=args.batch_size,
-        request_sampling_rate=args.rate,
-        measure=args.measure,
-        lam=args.lam,
-        mode=args.mode,
-        percentile=args.percentile,
-        epsilon=args.epsilon,
+        seeds=tuple(int(s) for s in args.seeds.split(",") if s != ""),
+        **{f.name: getattr(args, f.name) for f in fields(RunConfig) if f.name != "seeds"},
     )
     if args.sweep:
         values = [float(v) for v in args.values.split(",") if v != ""]
@@ -291,8 +286,9 @@ def _cmd_bench(args) -> int:
 
 
 def _add_planner_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--percentile", type=float, default=75.0, help="vital-set percentile P")
-    p.add_argument("--epsilon", type=float, default=0.05, help="exploration floor")
+    p.add_argument("--percentile", type=float, default=VitalSetConfig.percentile_p,
+                   help="vital-set percentile P")
+    p.add_argument("--epsilon", type=float, default=VitalSetConfig.epsilon, help="exploration floor")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -304,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="generate traces from a preset or spec file")
-    p.add_argument("--preset", choices=preset_names(), default="social")
+    p.add_argument("--preset", choices=preset_names(), default=RunConfig.preset)
     p.add_argument("--spec", help="JSON file with topology, anomalies, workload")
     p.add_argument("--out", required=True, help="output JSONL path")
     p.add_argument("--truth-out", help="write fault ground truth JSON here")
@@ -324,9 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--state", required=True, help="belief snapshot JSON, read if present")
     p.add_argument("--state-out", help="write the snapshot here instead of --state")
-    p.add_argument("--measure", default="variance")
+    p.add_argument("--measure", default=DEFAULT_MEASURE)
     p.add_argument("--lambda", dest="lam", type=float, default=None, help="forgetting factor")
-    p.add_argument("--mode", choices=("verbatim_ewma", "discounted_count"), default=None)
+    p.add_argument("--mode", choices=UPDATE_MODES, default=None)
     p.add_argument("--lenient", action="store_true")
     p.add_argument("--policy-out", help="also plan and save a policy")
     _add_planner_flags(p)
@@ -341,17 +337,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("experiment", help="closed-loop runs over seeds, with optional sweeps")
-    p.add_argument("--preset", choices=preset_names(), default="social")
-    p.add_argument("--seeds", default="0,1,2,3,4", help="comma list of seeds")
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--batch-size", type=int, default=50)
-    p.add_argument("--rate", type=float, default=1.0)
-    p.add_argument("--measure", default="variance")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.3)
-    p.add_argument("--mode", choices=("verbatim_ewma", "discounted_count"), default="verbatim_ewma")
-    p.add_argument("--threshold", type=float, default=0.9, help="faulty-probability convergence threshold")
-    p.add_argument("--within", type=int, default=500, help="trace budget for convergedFraction")
-    p.add_argument("--sweep", choices=("percentile", "epsilon", "request_sampling_rate"))
+    p.add_argument("--preset", choices=preset_names(), default=RunConfig.preset)
+    p.add_argument("--seeds", default=",".join(map(str, RunConfig.seeds)), help="comma list of seeds")
+    p.add_argument("--epochs", dest="num_epochs", metavar="EPOCHS", type=int, default=RunConfig.num_epochs)
+    p.add_argument("--batch-size", type=int, default=RunConfig.batch_size)
+    p.add_argument("--rate", dest="request_sampling_rate", metavar="RATE", type=float,
+                   default=RunConfig.request_sampling_rate)
+    p.add_argument("--measure", default=RunConfig.measure)
+    p.add_argument("--lambda", dest="lam", type=float, default=RunConfig.lam)
+    p.add_argument("--mode", choices=UPDATE_MODES, default=RunConfig.mode)
+    p.add_argument("--threshold", type=float, default=DETECT_THRESHOLD,
+                   help="faulty-probability convergence threshold")
+    p.add_argument("--within", type=int, default=WITHIN_TRACES, help="trace budget for convergedFraction")
+    p.add_argument("--sweep", choices=SWEEPABLE)
     p.add_argument("--values", default="", help="comma list of sweep values")
     p.add_argument("--out", help="CSV output path")
     _add_planner_flags(p)
@@ -362,26 +360,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--service")
     p.add_argument("--operation")
     p.add_argument("--url", default="")
-    p.add_argument("--target", choices=("self", "duration", "e2e"), default="self")
+    p.add_argument("--target", choices=TARGETS, default=DEFAULT_TARGET)
     p.add_argument("--lenient", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_tags)
 
     p = sub.add_parser("compare-baselines", help="elimination baselines vs the belief sampler")
-    p.add_argument("--arms", type=int, default=50)
-    p.add_argument("--budget", type=int, default=2000)
-    p.add_argument("--env", choices=("skewed", "uniform"), default="skewed")
+    p.add_argument("--arms", type=int, default=ComparisonConfig.num_arms)
+    p.add_argument("--budget", type=int, default=ComparisonConfig.budget)
+    p.add_argument("--env", choices=ENV_KINDS, default=ComparisonConfig.env_kind)
     p.add_argument("--seed", type=int)
-    p.add_argument("--ege-cap", type=int, default=24, help="per-arm round quota cap for the gap baseline")
-    p.add_argument("--ege-me-cap", type=int, default=6, help="quota cap inside its reference search")
-    p.add_argument("--percentile", type=float, default=90.0)
+    p.add_argument("--ege-cap", type=int, default=ComparisonConfig.ege_quota_cap,
+                   help="per-arm round quota cap for the gap baseline")
+    p.add_argument("--ege-me-cap", type=int, default=ComparisonConfig.ege_me_cap,
+                   help="quota cap inside its reference search")
+    p.add_argument("--percentile", type=float, default=ComparisonConfig.abs_percentile)
     p.add_argument("--out", help="write the full comparison JSON here")
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("bench-inference", help="time policy planning at a given store size")
     p.add_argument("--identities", type=int, default=564)
     p.add_argument("--reps", type=int, default=5)
-    p.add_argument("--percentile", type=float, default=75.0)
+    p.add_argument("--percentile", type=float, default=VitalSetConfig.percentile_p)
     p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_bench)
 

@@ -16,23 +16,25 @@ import numpy as np
 from .abs_sampler import VitalSetConfig, build_policy
 from .belief import BeliefStore, BetaBelief
 from .presets import get_preset
-from .simulator import ControllerConfig, EpochMetrics, RunResult, run_closed_loop, with_seed
+from .simulator import ControllerConfig, EpochMetrics, RunResult, WorkloadSpec, run_closed_loop, with_seed
 from .trace_model import SpanIdentity
 from .version import VERSION
 
+# A run has found its fault once the faulty identities' mean sampling probability
+# reaches DETECT_THRESHOLD; convergedFraction counts seeds that do so within WITHIN_TRACES.
+DETECT_THRESHOLD = 0.9
+WITHIN_TRACES = 500
+
 
 @dataclass(frozen=True)
-class RunConfig:
+class RunConfig(ControllerConfig):
+    """The controller's knobs plus the preset, seeds and workload they run on."""
+
     preset: str = "social"
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
     num_epochs: int = 20
-    batch_size: int = 50
-    request_sampling_rate: float = 1.0
-    measure: str = "variance"
-    lam: float = 0.3
-    mode: str = "verbatim_ewma"
-    percentile: float = 75.0
-    epsilon: float = 0.05
+    batch_size: int = WorkloadSpec.batch_size
+    request_sampling_rate: float = WorkloadSpec.request_sampling_rate
 
     def __post_init__(self) -> None:
         if not self.seeds:
@@ -48,14 +50,10 @@ class RunConfig:
 
     @staticmethod
     def from_json_dict(obj: dict) -> "RunConfig":
-        known = {f for f in RunConfig.__dataclass_fields__}
-        kwargs = {k: v for k, v in obj.items() if k in known}
+        kwargs = {k: v for k, v in obj.items() if k in RunConfig.__dataclass_fields__}
         if "seeds" in kwargs:
             kwargs["seeds"] = tuple(int(s) for s in kwargs["seeds"])
         return RunConfig(**kwargs)
-
-    def controller(self) -> ControllerConfig:
-        return ControllerConfig(**{c.name: getattr(self, c.name) for c in fields(ControllerConfig)})
 
 
 def run_one(config: RunConfig, seed: int) -> RunResult:
@@ -66,7 +64,7 @@ def run_one(config: RunConfig, seed: int) -> RunResult:
         request_sampling_rate=config.request_sampling_rate,
     )
     return run_closed_loop(
-        preset.topology, preset.anomalies, workload, config.controller(), config.num_epochs
+        preset.topology, preset.anomalies, workload, config, num_epochs=config.num_epochs
     )
 
 
@@ -80,15 +78,17 @@ class ExperimentResult:
             (r for r in self.results[seed].rows if r.faulty_probability >= threshold), None
         )
 
-    def traces_to_reach(self, seed: int, threshold: float = 0.9) -> int | None:
+    def traces_to_reach(self, seed: int, threshold: float = DETECT_THRESHOLD) -> int | None:
         row = self._first_reaching(seed, threshold)
         return None if row is None else row.samples_seen
 
-    def requests_to_reach(self, seed: int, threshold: float = 0.9) -> int | None:
+    def requests_to_reach(self, seed: int, threshold: float = DETECT_THRESHOLD) -> int | None:
         row = self._first_reaching(seed, threshold)
         return None if row is None else row.requests_seen
 
-    def converged_fraction(self, threshold: float = 0.9, within_traces: int | None = None) -> float:
+    def converged_fraction(
+        self, threshold: float = DETECT_THRESHOLD, within_traces: int | None = None
+    ) -> float:
         hits = 0
         for seed in self.results:
             reached = self.traces_to_reach(seed, threshold)
@@ -99,7 +99,9 @@ class ExperimentResult:
     def mean_over_seeds(self, fn) -> float:
         return float(np.mean([fn(r) for r in self.results.values()]))
 
-    def summary_dict(self, threshold: float = 0.9, within_traces: int | None = 500) -> dict:
+    def summary_dict(
+        self, threshold: float = DETECT_THRESHOLD, within_traces: int | None = WITHIN_TRACES
+    ) -> dict:
         traces_needed = [self.traces_to_reach(s, threshold) for s in self.results]
         requests_needed = [self.requests_to_reach(s, threshold) for s in self.results]
         reached = [t for t in traces_needed if t is not None]
@@ -173,7 +175,7 @@ class SweepPoint:
     mean_final_faulty_probability: float
 
 
-def sweep(config: RunConfig, param: str, values, threshold: float = 0.9) -> list[SweepPoint]:
+def sweep(config: RunConfig, param: str, values, threshold: float = DETECT_THRESHOLD) -> list[SweepPoint]:
     """Re-run the experiment for each value of one knob."""
     if param not in SWEEPABLE:
         raise ValueError(f"cannot sweep {param!r}; one of {SWEEPABLE}")
@@ -251,16 +253,16 @@ def synthetic_store(num_identities: int, seed: int = 0) -> BeliefStore:
 
 
 def bench_inference(
-    num_identities: int = 564,
-    reps: int = 5,
-    percentile: float = 75.0,
+    num_identities: int,
+    reps: int,
+    percentile: float = VitalSetConfig.percentile_p,
     seed: int = 0,
 ) -> BenchResult:
     """Median wall time to plan one policy from a store of the given size."""
     if reps < 1:
         raise ValueError(f"reps must be at least 1, got {reps}")
     store = synthetic_store(num_identities, seed)
-    cfg = VitalSetConfig(percentile_p=percentile, epsilon=0.05)
+    cfg = VitalSetConfig(percentile_p=percentile)
     build_policy(store, cfg)  # warm allocator and caches
     times = []
     for _ in range(reps):

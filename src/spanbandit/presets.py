@@ -354,9 +354,6 @@ def _media_rows():
     ]
 
 
-_DEFAULT_WORKLOAD = WorkloadSpec(num_requests=1000, request_sampling_rate=1.0, batch_size=50, rng_seed=1)
-
-
 # name -> (rows, root, target of the default delay fault, description)
 _BASES = {
     "social": (
@@ -389,7 +386,7 @@ def get_preset(name: str) -> Preset:
             description=description,
             topology=TopologySpec(root=root, operations=_ops(rows())),
             anomalies=(RandomDelayAnomaly(target=target),),
-            workload=_DEFAULT_WORKLOAD,
+            workload=WorkloadSpec(),
         )
     if name == "media-canary":
         base = get_preset("media")
@@ -410,7 +407,7 @@ def get_preset(name: str) -> Preset:
             description="media topology with a slow canary on the recommender plus decoy tags",
             topology=topology,
             anomalies=(canary,),
-            workload=_DEFAULT_WORKLOAD,
+            workload=WorkloadSpec(),
         )
     raise KeyError(f"unknown preset {name!r}; available: {', '.join(preset_names())}")
 

@@ -33,6 +33,7 @@ import numpy as np
 from .abs_sampler import SamplingPolicy, VitalSetConfig, build_policy, report
 from .belief import BeliefStore, json_integer, learn_batch, write_json
 from .trace_model import SpanIdentity, SpanRecord, Trace, identity_from_json, identity_to_json
+from .utility import DEFAULT_MEASURE
 
 
 class InvalidTopology(ValueError):
@@ -472,13 +473,13 @@ def simulate_workload(
 
 @dataclass(frozen=True)
 class ControllerConfig:
-    """Knobs of the learning side of the loop."""
+    """Knobs of the learning side of the loop, defaulting to their owners' defaults."""
 
-    measure: str = "variance"
-    lam: float = 0.3
-    mode: str = "verbatim_ewma"
-    percentile: float = 75.0
-    epsilon: float = 0.05
+    measure: str = DEFAULT_MEASURE
+    lam: float = BeliefStore.lam
+    mode: str = BeliefStore.mode
+    percentile: float = VitalSetConfig.percentile_p
+    epsilon: float = VitalSetConfig.epsilon
 
 
 @dataclass(frozen=True)
@@ -520,7 +521,8 @@ def run_closed_loop(
     anomalies: Sequence[AnomalySpec] | AnomalySchedule,
     workload: WorkloadSpec,
     controller: ControllerConfig = ControllerConfig(),
-    num_epochs: int = 20,
+    *,
+    num_epochs: int,
 ) -> RunResult:
     """Generate -> score -> update -> re-plan, once per epoch.
 
@@ -611,20 +613,6 @@ def run_closed_loop(
     return RunResult(rows=rows, policy=policy, store=store)
 
 
-def shift_anomaly(
-    topology: TopologySpec,
-    before: Sequence[AnomalySpec],
-    after: Sequence[AnomalySpec],
-    shift_epoch: int,
-    workload: WorkloadSpec,
-    controller: ControllerConfig = ControllerConfig(),
-    num_epochs: int = 40,
-) -> RunResult:
-    """Run with `before` active, swapping to `after` at shift_epoch."""
-    schedule = [(1, tuple(before)), (shift_epoch, tuple(after))]
-    return run_closed_loop(topology, schedule, workload, controller, num_epochs)
-
-
 # --- one-document spec format --------------------------------------------
 
 
@@ -686,9 +674,9 @@ def anomaly_from_dict(obj: dict) -> AnomalySpec:
             fraction=float(obj["fraction"]),
             delay_mean_us=float(obj["delayMeanUs"]),
             delay_std_us=float(obj["delayStdUs"]),
-            tag_key=obj.get("tagKey", "service.version"),
-            canary_value=obj.get("canaryValue", "canary"),
-            stable_value=obj.get("stableValue", "stable"),
+            tag_key=obj.get("tagKey", CanaryAnomaly.tag_key),
+            canary_value=obj.get("canaryValue", CanaryAnomaly.canary_value),
+            stable_value=obj.get("stableValue", CanaryAnomaly.stable_value),
         )
     raise ValueError(f"unknown anomaly kind {kind!r}")
 
@@ -716,12 +704,16 @@ def spec_to_json_dict(
             ],
         },
         "anomalies": [anomaly_to_dict(a) for a in anomalies],
-        "workload": {
-            "numRequests": workload.num_requests,
-            "requestSamplingRate": workload.request_sampling_rate,
-            "batchSize": workload.batch_size,
-            "rngSeed": workload.rng_seed,
-        },
+        "workload": _workload_to_dict(workload),
+    }
+
+
+def _workload_to_dict(workload: WorkloadSpec) -> dict:
+    return {
+        "numRequests": workload.num_requests,
+        "requestSamplingRate": workload.request_sampling_rate,
+        "batchSize": workload.batch_size,
+        "rngSeed": workload.rng_seed,
     }
 
 
@@ -732,7 +724,7 @@ def spec_from_json_dict(obj: dict) -> tuple[TopologySpec, tuple[AnomalySpec, ...
             identity=identity_from_json(op),
             base=LatencyModel(float(op["muLog"]), float(op["sigmaLog"])),
             calls=tuple(
-                CallSpec(identity_from_json(c), c.get("mode", "sequential"))
+                CallSpec(identity_from_json(c), c.get("mode", CallSpec.mode))
                 for c in op.get("calls", [])
             ),
         )
@@ -744,12 +736,13 @@ def spec_from_json_dict(obj: dict) -> tuple[TopologySpec, tuple[AnomalySpec, ...
         service_tags=tuple(_service_tag_from(t) for t in topo.get("serviceTags", [])),
     )
     anomalies = tuple(anomaly_from_dict(a) for a in obj.get("anomalies", []))
-    w = obj.get("workload", {})
+    # A workload key the file leaves out reads as WorkloadSpec's default.
+    w = {**_workload_to_dict(WorkloadSpec()), **obj.get("workload", {})}
     workload = WorkloadSpec(
-        num_requests=json_integer(w.get("numRequests", 1000), "numRequests", InvalidTopology),
-        request_sampling_rate=float(w.get("requestSamplingRate", 1.0)),
-        batch_size=json_integer(w.get("batchSize", 50), "batchSize", InvalidTopology),
-        rng_seed=json_integer(w.get("rngSeed", 1), "rngSeed", InvalidTopology),
+        num_requests=json_integer(w["numRequests"], "numRequests", InvalidTopology),
+        request_sampling_rate=float(w["requestSamplingRate"]),
+        batch_size=json_integer(w["batchSize"], "batchSize", InvalidTopology),
+        rng_seed=json_integer(w["rngSeed"], "rngSeed", InvalidTopology),
     )
     return topology, anomalies, workload
 

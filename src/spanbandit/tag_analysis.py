@@ -17,6 +17,12 @@ import numpy as np
 from .trace_model import SpanIdentity, SpanRecord, Trace, decompose
 
 
+# The latency a tag column is correlated with: the span's self time, its
+# duration, or its trace's end-to-end latency.
+TARGETS = ("self", "duration", "e2e")
+DEFAULT_TARGET = "self"
+
+
 class LengthMismatch(ValueError):
     pass
 
@@ -68,14 +74,10 @@ class TagMatrix:
     def num_rows(self) -> int:
         return int(self.self_us.size)
 
-    def target(self, which: str = "self") -> np.ndarray:
-        if which == "self":
-            return self.self_us
-        if which == "duration":
-            return self.duration_us
-        if which == "e2e":
-            return self.e2e_us
-        raise ValueError(f"unknown target {which!r}")
+    def target(self, which: str = DEFAULT_TARGET) -> np.ndarray:
+        if which not in TARGETS:
+            raise ValueError(f"unknown target {which!r}; one of {TARGETS}")
+        return (self.self_us, self.duration_us, self.e2e_us)[TARGETS.index(which)]
 
 
 def _first_occurrences(traces: Iterable[Trace]) -> dict[SpanIdentity, list[tuple[SpanRecord, int, int]]]:
@@ -93,7 +95,11 @@ def _first_occurrences(traces: Iterable[Trace]) -> dict[SpanIdentity, list[tuple
 
 
 def build_tag_matrix(traces: Sequence[Trace], identity: SpanIdentity) -> TagMatrix:
-    return _tag_matrix(identity, _first_occurrences(traces).get(identity, []))
+    """`identity`'s matrix; raises ValueError if no span in `traces` has it."""
+    rows = _first_occurrences(traces).get(identity)
+    if rows is None:
+        raise ValueError(f"no span of {identity.label()} in the traces")
+    return _tag_matrix(identity, rows)
 
 
 def _tag_matrix(identity: SpanIdentity, rows: list[tuple[SpanRecord, int, int]]) -> TagMatrix:
@@ -144,7 +150,7 @@ class CorrelationRow:
     num_rows: int
 
 
-def correlation_report(matrix: TagMatrix, target: str = "self") -> tuple[CorrelationRow, ...]:
+def correlation_report(matrix: TagMatrix, target: str = DEFAULT_TARGET) -> tuple[CorrelationRow, ...]:
     y = matrix.target(target)
     rows = []
     for key in matrix.keys:
@@ -156,7 +162,7 @@ def correlation_report(matrix: TagMatrix, target: str = "self") -> tuple[Correla
 
 
 def strongest_tag(
-    traces: Sequence[Trace], target: str = "self"
+    traces: Sequence[Trace], target: str = DEFAULT_TARGET
 ) -> tuple[TagMatrix, CorrelationRow] | None:
     """Best |r| tag over every identity, with that identity's matrix.
 

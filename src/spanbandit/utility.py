@@ -50,6 +50,8 @@ def _cov(x: np.ndarray) -> float:
     return float(np.std(x, ddof=1) / m) if m > 0 else 0.0
 
 
+DEFAULT_MEASURE = "variance"
+
 _MEASURES: dict[str, _Measure] = {
     "variance": _Measure(_variance, min_samples=2),
     "std": _Measure(_std, min_samples=2),
@@ -58,6 +60,7 @@ _MEASURES: dict[str, _Measure] = {
     "max": _Measure(lambda x: float(np.max(x))),
     "p99": _Measure(lambda x: float(np.percentile(x, 99))),
 }
+_BUILTIN_MEASURES = tuple(_MEASURES)
 
 
 def register_measure(name: str, fn: UtilityFn, min_samples: int = 1) -> None:
@@ -100,7 +103,7 @@ def pool_self_segments(traces: Iterable[Trace]) -> dict[SpanIdentity, list[int]]
 
 
 def compute_batch_utilities(
-    traces: Sequence[Trace], measure: str = "variance"
+    traces: Sequence[Trace], measure: str = DEFAULT_MEASURE
 ) -> list[UtilityEstimate]:
     """Score every identity observed in the batch, normalized by the batch max.
 
@@ -147,17 +150,15 @@ class MeasureComparisonRow:
 def measure_comparison(
     traces: Sequence[Trace],
     fault_identity: SpanIdentity,
-    measures: Sequence[str] | None = None,
+    measures: Sequence[str] = _BUILTIN_MEASURES,
 ) -> list[MeasureComparisonRow]:
-    """Rank a known-faulty identity under each measure.
+    """Rank a known-faulty identity under each measure, by default the built-in ones.
 
     The batch is pooled once, and each measure scores the pools as
     `compute_batch_utilities` does. When every identity scores the same
     (all-constant latencies, say) the ranking carries no information: the
     row is flagged ambiguous and no top-k hit is credited.
     """
-    if measures is None:
-        measures = ("variance", "std", "coefficient_of_variation", "mean", "max", "p99")
     pools = pool_self_segments(traces)
     rows = []
     for name in measures:

@@ -44,7 +44,6 @@ from spanbandit import (
     pool_self_segments,
     run_closed_loop,
     run_one,
-    shift_anomaly,
     simulate_workload,
     sweep,
     update_epoch,
@@ -206,14 +205,12 @@ SHIFT_EPOCH = 10
 def _recovery_samples(eps, seed):
     preset = get_preset("social")
     controller = ControllerConfig(epsilon=eps, mode="discounted_count", lam=0.3, percentile=85.0)
-    result = shift_anomaly(
-        preset.topology,
-        list(preset.anomalies),
-        [RandomDelayAnomaly(SpanIdentity("cache", "timeline-set"))],
-        SHIFT_EPOCH,
-        with_seed(preset.workload, seed),
-        controller,
-        num_epochs=50,
+    schedule = [
+        (1, tuple(preset.anomalies)),
+        (SHIFT_EPOCH, (RandomDelayAnomaly(SpanIdentity("cache", "timeline-set")),)),
+    ]
+    result = run_closed_loop(
+        preset.topology, schedule, with_seed(preset.workload, seed), controller, num_epochs=50
     )
     base_samples = result.rows[SHIFT_EPOCH - 2].samples_seen
     for row in result.rows:

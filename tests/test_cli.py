@@ -435,3 +435,59 @@ def test_tags_json_is_strict_json_with_huge_and_constant_float_tags(tmp_path, ca
     assert rows["huge"]["degenerate"] is False
     assert rows["w"]["degenerate"] is True
     assert rows["w"]["r"] == 0.0
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["table", "json"])
+def test_tags_for_an_identity_no_span_has_reports_json_error(tmp_path, capsys, as_json):
+    src = _simulate(tmp_path)
+    capsys.readouterr()
+    argv = ["tags", "--in", str(src), "--service", "nosuch", "--operation", "x"]
+    rc = main(argv + ["--json"] * as_json)
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "ValueError"
+    assert "nosuch/x" in err["message"]
+
+
+class _Ran(Exception):
+    pass
+
+
+def _refuse_to_run(*args, **kwargs):
+    raise _Ran
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--threshold", "nan"),
+        ("--threshold", "inf"),
+        ("--threshold", "0"),
+        ("--threshold", "-0.5"),
+        ("--threshold", "1.5"),
+        ("--within", "0"),
+        ("--within", "-5"),
+    ],
+)
+@pytest.mark.parametrize("sweep", [False, True], ids=["runs", "sweep"])
+def test_experiment_rejects_bad_threshold_and_within_before_any_run(
+    monkeypatch, capsys, flag, value, sweep
+):
+    monkeypatch.setattr("spanbandit.cli.run_experiment", _refuse_to_run)
+    monkeypatch.setattr("spanbandit.cli.sweep", _refuse_to_run)
+    argv = ["experiment", "--seeds", "0", "--epochs", "1", flag, value]
+    if sweep:
+        argv += ["--sweep", "epsilon", "--values", "0.1"]
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "ValueError"
+    assert flag in err["message"] and value in err["message"]
+
+
+def test_experiment_accepts_threshold_one_and_within_one(monkeypatch):
+    monkeypatch.setattr("spanbandit.cli.run_experiment", _refuse_to_run)
+    with pytest.raises(_Ran):
+        main(["experiment", "--seeds", "0", "--threshold", "1", "--within", "1"])

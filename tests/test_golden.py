@@ -32,8 +32,8 @@ from spanbandit.simulator import (
     ControllerConfig,
     RandomDelayAnomaly,
     WorkloadSpec,
+    run_closed_loop,
     save_spec,
-    shift_anomaly,
     with_seed,
 )
 from spanbandit.trace_model import SpanIdentity, decompose, read_traces_jsonl
@@ -212,14 +212,9 @@ def digests(golden_dir):
     out["truth-mixed-spec"] = _sha_file(truth)
 
     social = get_preset("social")
-    shifted = shift_anomaly(
-        social.topology,
-        social.anomalies,
-        [RandomDelayAnomaly(SpanIdentity("cache", "timeline-set"))],
-        4,
-        with_seed(social.workload, 3),
-        ControllerConfig(),
-        num_epochs=8,
+    schedule = [(1, social.anomalies), (4, (RandomDelayAnomaly(SpanIdentity("cache", "timeline-set")),))]
+    shifted = run_closed_loop(
+        social.topology, schedule, with_seed(social.workload, 3), ControllerConfig(), num_epochs=8
     )
     out["shift_anomaly-social"] = _sha_json([dataclasses.asdict(r) for r in shifted.rows])
     return out

@@ -4,8 +4,11 @@ Hypothesis draws stores of 1 to 60 identities with alpha and beta
 log-uniform in [0.05, 50] and a percentile P in (0, 100] (derandomized,
 so a run is reproducible). Every draw's vital set has S - m members, so
 the vital probabilities must sum to S - m; the planner must not depend
-on how the identities are named; and belief and policy files must read
-back exactly what was written and refuse non-finite numbers.
+on how the identities are named; identities with equal beliefs must get
+bit-equal values; raising one identity's alpha with its beta fixed makes
+its utility stochastically larger, so it must not lower that identity's
+vital probability; and belief and policy files must read back exactly
+what was written and refuse non-finite numbers.
 """
 import json
 import math
@@ -66,6 +69,35 @@ def test_relabelling_identities_moves_no_vital_value(params, percentile, data):
     before = _vital_in_draw_order(params, names, percentile)
     after = _vital_in_draw_order(params, relabelled, percentile)
     assert max(abs(x - y) for x, y in zip(before, after)) <= 1e-12
+
+
+@_settings
+@given(params=_params, percentile=_percentile, data=st.data())
+def test_equal_beliefs_get_bit_equal_vital_values(params, percentile, data):
+    copied = data.draw(st.lists(st.integers(0, len(params) - 1), min_size=1, max_size=5))
+    params = params + [params[i] for i in copied]
+    vital = _vital_in_draw_order(params, range(len(params)), percentile)
+    by_belief = {}
+    for ab, v in zip(params, vital):
+        by_belief.setdefault(ab, set()).add(v)
+    assert all(len(values) == 1 for values in by_belief.values())
+
+
+@_settings
+@given(
+    params=st.lists(st.tuples(_param, _param), min_size=1, max_size=39),
+    percentile=_percentile,
+    data=st.data(),
+)
+def test_raising_alpha_never_lowers_vital(params, percentile, data):
+    j = data.draw(st.integers(0, len(params) - 1))
+    factor = data.draw(st.floats(1.0, 10.0, exclude_min=True))
+    raised = list(params)
+    raised[j] = (params[j][0] * factor, params[j][1])
+    names = range(len(params))
+    before = _vital_in_draw_order(params, names, percentile)[j]
+    after = _vital_in_draw_order(raised, names, percentile)[j]
+    assert after >= before - 1e-12
 
 
 @_settings
