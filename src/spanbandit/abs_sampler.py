@@ -105,6 +105,17 @@ class SamplingPolicy:
     entries: dict[SpanIdentity, float] = field(default_factory=dict)
     vital: dict[SpanIdentity, float] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        # The policy file's rules, naming wire keys; VitalSetConfig holds P's and epsilon's.
+        self.epoch = json_integer(self.epoch, "epoch", InvalidPolicy)
+        VitalSetConfig(percentile_p=self.percentile, epsilon=self.epsilon)
+        for key, probabilities in (("probability", self.entries), ("vitalProbability", self.vital)):
+            for identity, value in probabilities.items():
+                if not 0.0 <= value <= 1.0:  # NaN fails every comparison
+                    raise InvalidPolicy(
+                        f"{identity.label()}: {key} must be finite and in [0, 1], got {value!r}"
+                    )
+
     def probability(self, identity: SpanIdentity) -> float:
         """Identities the policy has never scored sample at 1.0: unknown
         spans stay fully visible until judged."""
@@ -286,26 +297,13 @@ def policy_to_json_dict(policy: SamplingPolicy) -> dict:
     }
 
 
-def _probability(row: dict, key: str) -> float:
-    value = float(row[key])
-    if not 0.0 <= value <= 1.0:  # NaN fails every comparison
-        raise InvalidPolicy(f"{key} must be finite and in [0, 1], got {value!r}")
-    return value
-
-
 def policy_from_json_dict(obj: dict) -> SamplingPolicy:
-    # VitalSetConfig holds the allowed ranges of the header's P and epsilon.
-    cfg = VitalSetConfig(percentile_p=float(obj["percentile"]), epsilon=float(obj["epsilon"]))
-    policy = SamplingPolicy(
-        epoch=json_integer(obj["epoch"], "epoch", InvalidPolicy),
-        epsilon=cfg.epsilon,
-        percentile=cfg.percentile_p,
-    )
+    entries, vital = {}, {}
     for row in obj["entries"]:
         identity = identity_from_json(row)
-        policy.entries[identity] = _probability(row, "probability")
-        policy.vital[identity] = _probability(row, "vitalProbability")
-    return policy
+        entries[identity] = float(row["probability"])
+        vital[identity] = float(row["vitalProbability"])
+    return SamplingPolicy(obj["epoch"], float(obj["epsilon"]), float(obj["percentile"]), entries, vital)
 
 
 def save_policy(policy: SamplingPolicy, path: str) -> None:

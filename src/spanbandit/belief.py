@@ -41,8 +41,18 @@ class NormalizationOutOfRange(ValueError):
 
 
 class InvalidBelief(ValueError):
-    """A Beta parameter that is not a finite positive number, or a state
-    file's epoch that is not an integer."""
+    """A Beta parameter that is not a finite positive number, or a store's
+    epoch that is not an integer."""
+
+
+def json_integer(value, name: str, error: type[ValueError]) -> int:
+    """A count as an int; raises `error` naming `name` for a bool, a
+    non-number or a number that is not integral, which int() would truncate."""
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    ):
+        raise error(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass
@@ -89,6 +99,7 @@ class BeliefStore:
     beliefs: dict[SpanIdentity, BetaBelief] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        self.epoch = json_integer(self.epoch, "epoch", InvalidBelief)
         if not 0.0 < self.lam <= 1.0:
             raise ValueError(f"lambda must lie in (0, 1], got {self.lam}")
         if self.mode not in UPDATE_MODES:
@@ -169,19 +180,8 @@ def store_to_json_dict(store: BeliefStore) -> dict:
     }
 
 
-def json_integer(value, name: str, error: type[ValueError]) -> int:
-    """A JSON count as an int; raises `error` naming `name` for a bool, a
-    non-number or a number that is not integral, which int() would truncate."""
-    if isinstance(value, bool) or not (
-        isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    ):
-        raise error(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 def store_from_json_dict(obj: dict) -> BeliefStore:
-    epoch = json_integer(obj["epoch"], "epoch", InvalidBelief)
-    store = BeliefStore(lam=float(obj["lambda"]), mode=str(obj["mode"]), epoch=epoch)
+    store = BeliefStore(lam=float(obj["lambda"]), mode=str(obj["mode"]), epoch=obj["epoch"])
     for row in obj["beliefs"]:
         store.beliefs[identity_from_json(row)] = BetaBelief(float(row["alpha"]), float(row["beta"]))
     return store

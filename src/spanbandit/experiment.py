@@ -37,8 +37,13 @@ class RunConfig(ControllerConfig):
     request_sampling_rate: float = WorkloadSpec.request_sampling_rate
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if not self.seeds:
             raise ValueError("seeds must name at least one seed")
+        if len(set(self.seeds)) < len(self.seeds):
+            twice = next(s for s in self.seeds if self.seeds.count(s) > 1)
+            raise ValueError(f"seeds must be distinct; seed {twice} is listed more than once")
+        WorkloadSpec(batch_size=self.batch_size, request_sampling_rate=self.request_sampling_rate)
         if self.num_epochs < 1:
             raise ValueError(f"num_epochs must be at least 1, got {self.num_epochs}")
 
@@ -179,14 +184,15 @@ def sweep(config: RunConfig, param: str, values, threshold: float = DETECT_THRES
     """Re-run the experiment for each value of one knob."""
     if param not in SWEEPABLE:
         raise ValueError(f"cannot sweep {param!r}; one of {SWEEPABLE}")
+    # Every swept config is built, and so checked, before the first run.
+    configs = [replace(config, **{param: float(value)}) for value in values]
     points = []
-    for value in values:
-        result = run_experiment(replace(config, **{param: float(value)}))
-        summary = result.summary_dict(threshold, None)
+    for swept in configs:
+        summary = run_experiment(swept).summary_dict(threshold, None)
         points.append(
             SweepPoint(
                 param=param,
-                value=float(value),
+                value=getattr(swept, param),
                 converged_fraction=summary["convergedFraction"],
                 mean_traces_to_reach=summary["meanTracesToReach"],
                 mean_requests_to_reach=summary["meanRequestsToReach"],

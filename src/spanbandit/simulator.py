@@ -33,7 +33,7 @@ import numpy as np
 from .abs_sampler import SamplingPolicy, VitalSetConfig, build_policy, report
 from .belief import BeliefStore, json_integer, learn_batch, write_json
 from .trace_model import SpanIdentity, SpanRecord, Trace, identity_from_json, identity_to_json
-from .utility import DEFAULT_MEASURE
+from .utility import DEFAULT_MEASURE, measure_min_samples
 
 
 class InvalidTopology(ValueError):
@@ -326,6 +326,8 @@ class WorkloadSpec:
     rng_seed: int = 1
 
     def __post_init__(self) -> None:
+        for name, key in (("num_requests", "numRequests"), ("batch_size", "batchSize"), ("rng_seed", "rngSeed")):
+            object.__setattr__(self, name, json_integer(getattr(self, name), key, InvalidTopology))
         if not 0.0 < self.request_sampling_rate <= 1.0:
             raise ValueError("request_sampling_rate must lie in (0, 1]")
         if self.batch_size < 1 or self.num_requests < 1:
@@ -473,13 +475,18 @@ def simulate_workload(
 
 @dataclass(frozen=True)
 class ControllerConfig:
-    """Knobs of the learning side of the loop, defaulting to their owners' defaults."""
+    """Knobs of the learning side of the loop, defaulting to, and checked by, their owners."""
 
     measure: str = DEFAULT_MEASURE
     lam: float = BeliefStore.lam
     mode: str = BeliefStore.mode
     percentile: float = VitalSetConfig.percentile_p
     epsilon: float = VitalSetConfig.epsilon
+
+    def __post_init__(self) -> None:
+        BeliefStore(lam=self.lam, mode=self.mode)
+        VitalSetConfig(self.percentile, self.epsilon)
+        measure_min_samples(self.measure)
 
 
 @dataclass(frozen=True)
@@ -738,12 +745,7 @@ def spec_from_json_dict(obj: dict) -> tuple[TopologySpec, tuple[AnomalySpec, ...
     anomalies = tuple(anomaly_from_dict(a) for a in obj.get("anomalies", []))
     # A workload key the file leaves out reads as WorkloadSpec's default.
     w = {**_workload_to_dict(WorkloadSpec()), **obj.get("workload", {})}
-    workload = WorkloadSpec(
-        num_requests=json_integer(w["numRequests"], "numRequests", InvalidTopology),
-        request_sampling_rate=float(w["requestSamplingRate"]),
-        batch_size=json_integer(w["batchSize"], "batchSize", InvalidTopology),
-        rng_seed=json_integer(w["rngSeed"], "rngSeed", InvalidTopology),
-    )
+    workload = WorkloadSpec(w["numRequests"], float(w["requestSamplingRate"]), w["batchSize"], w["rngSeed"])
     return topology, anomalies, workload
 
 

@@ -97,10 +97,19 @@ class SpanRecord:
     tags: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.start_us, int) or not isinstance(self.duration_us, int):
-            raise ValueError(f"span {self.span_id}: start_us and duration_us must be integers")
-        if self.duration_us < 0:
-            raise ValueError(f"span {self.span_id}: negative duration")
+        # The span JSONL rules, naming wire keys; straight-line, as every span passes here.
+        if not (isinstance(self.trace_id, str) and self.trace_id):
+            raise TraceError(f"traceId must be a non-empty string, got {self.trace_id!r}")
+        if not (isinstance(self.span_id, str) and self.span_id):
+            raise TraceError(f"spanId must be a non-empty string, got {self.span_id!r}")
+        if not (self.parent_id is None or isinstance(self.parent_id, str) and self.parent_id):
+            raise TraceError(f"parentId must be null or a non-empty string, got {self.parent_id!r}")
+        if not (type(self.start_us) is int and self.start_us >= 0):  # a bool is no int here
+            raise TraceError(f"startUs must be a non-negative integer, got {self.start_us!r}")
+        if not (type(self.duration_us) is int and self.duration_us >= 0):
+            raise TraceError(f"durationUs must be a non-negative integer, got {self.duration_us!r}")
+        if not isinstance(self.tags, dict):
+            raise TraceError(f"tags must be an object, got {self.tags!r}")
 
     @property
     def end_us(self) -> int:
@@ -256,41 +265,24 @@ def span_to_json(rec: SpanRecord) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-def _require_count(obj: dict, key: str, line_no: int) -> int:
-    v = obj.get(key)
-    if isinstance(v, bool) or not isinstance(v, int) or v < 0:
-        raise TraceFormatError(f"line {line_no}: {key} must be a non-negative integer")
-    return v
-
-
 def span_from_json(line: str, line_no: int = 0) -> SpanRecord:
+    """Parse one JSONL line; SpanRecord and SpanIdentity hold the format's rules."""
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as e:
         raise TraceFormatError(f"line {line_no}: malformed JSON ({e.msg})") from e
     if not isinstance(obj, dict):
         raise TraceFormatError(f"line {line_no}: expected a JSON object")
-    for key in ("traceId", "spanId", "service", "operation"):
-        if not isinstance(obj.get(key), str) or not obj.get(key):
-            raise TraceFormatError(f"line {line_no}: missing or invalid {key}")
-    parent_id = obj.get("parentId")
-    if parent_id is not None and (not isinstance(parent_id, str) or not parent_id):
-        raise TraceFormatError(f"line {line_no}: parentId must be null or a non-empty string")
-    url = obj.get("url", "")
-    if not isinstance(url, str):
-        raise TraceFormatError(f"line {line_no}: url must be a string")
-    tags = obj.get("tags", {})
-    if not isinstance(tags, dict):
-        raise TraceFormatError(f"line {line_no}: tags must be an object")
-    return SpanRecord(
-        trace_id=obj["traceId"],
-        span_id=obj["spanId"],
-        parent_id=parent_id,
-        identity=SpanIdentity(obj["service"], obj["operation"], url),
-        start_us=_require_count(obj, "startUs", line_no),
-        duration_us=_require_count(obj, "durationUs", line_no),
-        tags={str(k): str(v) for k, v in tags.items()},
-    )
+    try:
+        rec = SpanRecord(
+            obj.get("traceId"), obj.get("spanId"), obj.get("parentId"),
+            SpanIdentity(obj.get("service"), obj.get("operation"), obj.get("url", "")),
+            obj.get("startUs"), obj.get("durationUs"), obj.get("tags", {}),
+        )
+    except ValueError as e:
+        raise TraceFormatError(f"line {line_no}: {e}") from e
+    rec.tags = {str(k): str(v) for k, v in rec.tags.items()}
+    return rec
 
 
 def write_traces_jsonl(traces: Iterable[Trace], path: str) -> None:

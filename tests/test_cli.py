@@ -289,6 +289,29 @@ def test_out_of_range_flag_reports_json_error(argv, field, capsys):
     assert field in err["message"]
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["--seeds", "0,0"], "seed 0"),
+        (["--percentile", "500", "--epochs", "1"], "percentile"),
+        (["--lambda", "7"], "lambda"),
+        (["--measure", "nosuch"], "nosuch"),
+        (["--sweep", "epsilon", "--values", "0.1,1.5"], "epsilon"),
+        (["--sweep", "request_sampling_rate", "--values", "0.5,1.5"], "request_sampling_rate"),
+    ],
+)
+def test_experiment_rejects_bad_settings_before_any_run(monkeypatch, capsys, argv, named):
+    def never(*args, **kwargs):
+        raise AssertionError("a run started before its settings were checked")
+
+    for target in ("cli.run_experiment", "experiment.run_experiment", "experiment.run_one"):
+        monkeypatch.setattr(f"spanbandit.{target}", never)
+    rc = main(["experiment", *argv])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert named in json.loads(captured.err)["message"]
+
+
 def test_state_file_with_non_string_identity_reports_json_error(tmp_path, capsys):
     state = tmp_path / "state.json"
     state.write_text(json.dumps({"epoch": 1, "lambda": 0.3, "mode": "verbatim_ewma", "beliefs": [

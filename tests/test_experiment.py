@@ -48,6 +48,33 @@ def test_run_config_rejects_empty_runs(field, value):
         RunConfig(**{field: value})
 
 
+def _never(*args, **kwargs):
+    raise AssertionError("a run started before its config was checked")
+
+
+def test_run_config_rejects_a_repeated_seed():
+    with pytest.raises(ValueError, match="seed 3 "):
+        RunConfig(seeds=(1, 3, 2, 3))
+
+
+@pytest.mark.parametrize(
+    "knobs",
+    [{"percentile": 500.0}, {"epsilon": 1.5}, {"lam": 7.0}, {"mode": "nosuch"},
+     {"measure": "nosuch"}, {"request_sampling_rate": 1.5}],
+)
+def test_controller_knobs_are_checked_when_the_config_is_built(knobs):
+    with pytest.raises((ValueError, KeyError)):
+        RunConfig(**knobs)
+
+
+@pytest.mark.parametrize("param, values", [("epsilon", [0.1, 1.5]), ("percentile", [50.0, 0.0])])
+def test_sweep_checks_every_value_before_the_first_run(monkeypatch, param, values):
+    monkeypatch.setattr("spanbandit.experiment.run_experiment", _never)
+    monkeypatch.setattr("spanbandit.experiment.run_one", _never)
+    with pytest.raises(ValueError, match=param):
+        sweep(FAST, param, values)
+
+
 def test_bench_inference_needs_a_rep():
     with pytest.raises(ValueError, match="reps"):
         bench_inference(num_identities=8, reps=0)

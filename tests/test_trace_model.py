@@ -69,7 +69,7 @@ def test_decompose_union_examples():
     assert _waiting_under_root(30, [(0, 10), (10, 20)]) == 20
     assert _waiting_under_root(30, [(3, 3)]) == 0
     assert _waiting_under_root(30, [(5, 8), (0, 30), (3, 3)]) == 30
-    with pytest.raises(ValueError, match="negative duration"):
+    with pytest.raises(ValueError, match="durationUs must be a non-negative integer"):
         _waiting_under_root(30, [(5, 4)])
 
 
