@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .belief import BeliefStore, json_integer, posterior_variance, write_json
+from .belief import BeliefStore, json_integer, json_number, posterior_variance, write_json
 from .trace_model import SpanIdentity, identity_from_json, identity_to_json
 
 GRID_BINS = 64
@@ -108,10 +108,13 @@ class SamplingPolicy:
     def __post_init__(self) -> None:
         # The policy file's rules, naming wire keys; VitalSetConfig holds P's and epsilon's.
         self.epoch = json_integer(self.epoch, "epoch", InvalidPolicy)
+        self.epsilon = json_number(self.epsilon, "epsilon", InvalidPolicy)
+        self.percentile = json_number(self.percentile, "percentile", InvalidPolicy)
         VitalSetConfig(percentile_p=self.percentile, epsilon=self.epsilon)
         for key, probabilities in (("probability", self.entries), ("vitalProbability", self.vital)):
             for identity, value in probabilities.items():
-                if not 0.0 <= value <= 1.0:  # NaN fails every comparison
+                number = isinstance(value, (int, float)) and not isinstance(value, bool)
+                if not (number and 0.0 <= value <= 1.0):  # NaN fails every comparison
                     raise InvalidPolicy(
                         f"{identity.label()}: {key} must be finite and in [0, 1], got {value!r}"
                     )
@@ -301,9 +304,9 @@ def policy_from_json_dict(obj: dict) -> SamplingPolicy:
     entries, vital = {}, {}
     for row in obj["entries"]:
         identity = identity_from_json(row)
-        entries[identity] = float(row["probability"])
-        vital[identity] = float(row["vitalProbability"])
-    return SamplingPolicy(obj["epoch"], float(obj["epsilon"]), float(obj["percentile"]), entries, vital)
+        entries[identity] = row["probability"]
+        vital[identity] = row["vitalProbability"]
+    return SamplingPolicy(obj["epoch"], obj["epsilon"], obj["percentile"], entries, vital)
 
 
 def save_policy(policy: SamplingPolicy, path: str) -> None:

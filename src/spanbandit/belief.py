@@ -41,8 +41,8 @@ class NormalizationOutOfRange(ValueError):
 
 
 class InvalidBelief(ValueError):
-    """A Beta parameter that is not a finite positive number, or a store's
-    epoch that is not an integer."""
+    """A Beta parameter that is not a finite positive number, a store's
+    lambda that is not a finite number, or its epoch that is not an integer."""
 
 
 def json_integer(value, name: str, error: type[ValueError]) -> int:
@@ -55,6 +55,14 @@ def json_integer(value, name: str, error: type[ValueError]) -> int:
     return int(value)
 
 
+def json_number(value, name: str, error: type[ValueError]) -> float:
+    """A finite number as a float; raises `error` naming `name` for a bool,
+    a string or other non-number, and for NaN or an infinity."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise error(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
 @dataclass
 class BetaBelief:
     alpha: float = 1.0
@@ -64,9 +72,10 @@ class BetaBelief:
         # One NaN belief zeroes every identity's vital probability, so
         # non-finite parameters are rejected here, not downstream.
         for name in ("alpha", "beta"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
+            value = json_number(getattr(self, name), name, InvalidBelief)
+            if not value > 0:
                 raise InvalidBelief(f"{name} must be finite and > 0, got {value!r}")
+            setattr(self, name, value)
 
     @property
     def mean(self) -> float:
@@ -100,6 +109,7 @@ class BeliefStore:
 
     def __post_init__(self) -> None:
         self.epoch = json_integer(self.epoch, "epoch", InvalidBelief)
+        self.lam = json_number(self.lam, "lambda", InvalidBelief)
         if not 0.0 < self.lam <= 1.0:
             raise ValueError(f"lambda must lie in (0, 1], got {self.lam}")
         if self.mode not in UPDATE_MODES:
@@ -181,9 +191,9 @@ def store_to_json_dict(store: BeliefStore) -> dict:
 
 
 def store_from_json_dict(obj: dict) -> BeliefStore:
-    store = BeliefStore(lam=float(obj["lambda"]), mode=str(obj["mode"]), epoch=obj["epoch"])
+    store = BeliefStore(lam=obj["lambda"], mode=obj["mode"], epoch=obj["epoch"])
     for row in obj["beliefs"]:
-        store.beliefs[identity_from_json(row)] = BetaBelief(float(row["alpha"]), float(row["beta"]))
+        store.beliefs[identity_from_json(row)] = BetaBelief(row["alpha"], row["beta"])
     return store
 
 

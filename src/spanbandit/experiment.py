@@ -16,7 +16,15 @@ import numpy as np
 from .abs_sampler import VitalSetConfig, build_policy
 from .belief import BeliefStore, BetaBelief
 from .presets import get_preset
-from .simulator import ControllerConfig, EpochMetrics, RunResult, WorkloadSpec, run_closed_loop, with_seed
+from .simulator import (
+    ControllerConfig,
+    EpochMetrics,
+    InvalidTopology,
+    RunResult,
+    WorkloadSpec,
+    run_closed_loop,
+    with_seed,
+)
 from .trace_model import SpanIdentity
 from .version import VERSION
 
@@ -43,7 +51,14 @@ class RunConfig(ControllerConfig):
         if len(set(self.seeds)) < len(self.seeds):
             twice = next(s for s in self.seeds if self.seeds.count(s) > 1)
             raise ValueError(f"seeds must be distinct; seed {twice} is listed more than once")
-        WorkloadSpec(batch_size=self.batch_size, request_sampling_rate=self.request_sampling_rate)
+        try:  # every seed's workload is built, and so checked, before the first run
+            for seed in self.seeds:
+                WorkloadSpec(
+                    batch_size=self.batch_size, request_sampling_rate=self.request_sampling_rate, rng_seed=seed
+                )
+        except InvalidTopology as e:
+            # The workload names its spec-file keys; say which fields here feed them.
+            raise InvalidTopology(f"{e} (from seeds, batch_size or request_sampling_rate)") from e
         if self.num_epochs < 1:
             raise ValueError(f"num_epochs must be at least 1, got {self.num_epochs}")
 

@@ -326,12 +326,20 @@ class WorkloadSpec:
     rng_seed: int = 1
 
     def __post_init__(self) -> None:
-        for name, key in (("num_requests", "numRequests"), ("batch_size", "batchSize"), ("rng_seed", "rngSeed")):
-            object.__setattr__(self, name, json_integer(getattr(self, name), key, InvalidTopology))
-        if not 0.0 < self.request_sampling_rate <= 1.0:
-            raise ValueError("request_sampling_rate must lie in (0, 1]")
-        if self.batch_size < 1 or self.num_requests < 1:
-            raise ValueError("batch_size and num_requests must be positive")
+        # The spec file's rules, naming its keys; numpy draws need a seed >= 0.
+        for name, key, least in (
+            ("num_requests", "numRequests", 1),
+            ("batch_size", "batchSize", 1),
+            ("rng_seed", "rngSeed", 0),
+        ):
+            value = json_integer(getattr(self, name), key, InvalidTopology)
+            if value < least:
+                raise InvalidTopology(f"{key} must be at least {least}, got {value}")
+            object.__setattr__(self, name, value)
+        if not 0.0 < self.request_sampling_rate <= 1.0:  # NaN fails every comparison
+            raise InvalidTopology(
+                f"requestSamplingRate must lie in (0, 1], got {self.request_sampling_rate!r}"
+            )
 
 
 def _extra_delay_us(a: RandomDelayAnomaly | CanaryAnomaly, identity: SpanIdentity, rng) -> int:

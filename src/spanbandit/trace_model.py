@@ -11,12 +11,19 @@ microseconds, so the split is exact: for every span,
     self_segment_us + child_waiting_us == duration_us
 
 holds without rounding error.
+
+Spans are kept lean, since a trace file holds far more spans than
+distinct identities or traces. `read_traces_jsonl` shares one
+`SpanIdentity` object among the spans of each distinct (service,
+operation, url) in a read, and one `trace_id` string among the spans of
+each trace. `SpanRecord` is slotted, and a `DecomposedSpan` row is a
+named tuple, so it also compares equal to a plain tuple of its fields.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 
 class TraceError(ValueError):
@@ -84,7 +91,7 @@ def identity_from_json(obj: dict) -> SpanIdentity:
     return SpanIdentity(obj["service"], obj["operation"], obj.get("url", ""))
 
 
-@dataclass
+@dataclass(slots=True)
 class SpanRecord:
     """One observed span instance inside a trace."""
 
@@ -116,8 +123,7 @@ class SpanRecord:
         return self.start_us + self.duration_us
 
 
-@dataclass(frozen=True)
-class DecomposedSpan:
+class DecomposedSpan(NamedTuple):
     """Latency split for one span instance: duration = child_waiting + self."""
 
     identity: SpanIdentity
@@ -228,15 +234,17 @@ def decompose(trace: Trace) -> list[DecomposedSpan]:
     was built from.
     """
     order = trace.preorder()
+    spans = trace._spans
     waiting: dict[str, int] = {}
     covered: dict[str, int] = {}  # per parent: how far its children's union reaches
     for rec in order[1:]:  # every span after the root has a parent
-        parent = trace.span(rec.parent_id)
-        lo = max(rec.start_us, covered.get(rec.parent_id, parent.start_us))
-        hi = min(rec.end_us, parent.end_us)
+        pid = rec.parent_id
+        parent = spans[pid]
+        lo = max(rec.start_us, covered.get(pid, parent.start_us))
+        hi = min(rec.start_us + rec.duration_us, parent.start_us + parent.duration_us)
         if hi > lo:
-            waiting[rec.parent_id] = waiting.get(rec.parent_id, 0) + hi - lo
-            covered[rec.parent_id] = hi
+            waiting[pid] = waiting.get(pid, 0) + hi - lo
+            covered[pid] = hi
     out = []
     for rec in order:
         w = waiting.get(rec.span_id, 0)
@@ -265,18 +273,33 @@ def span_to_json(rec: SpanRecord) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-def span_from_json(line: str, line_no: int = 0) -> SpanRecord:
-    """Parse one JSONL line; SpanRecord and SpanIdentity hold the format's rules."""
+def span_from_json(
+    line: str, line_no: int = 0, identities: dict[tuple[str, str, str], SpanIdentity] | None = None
+) -> SpanRecord:
+    """Parse one JSONL line; SpanRecord and SpanIdentity hold the format's rules.
+
+    `identities`, when given, maps (service, operation, url) to the
+    SpanIdentity already made for it, and gains any new one. Only three
+    str fields are looked up: any other value (a list is not even
+    hashable) goes to SpanIdentity, which rejects it.
+    """
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as e:
         raise TraceFormatError(f"line {line_no}: malformed JSON ({e.msg})") from e
     if not isinstance(obj, dict):
         raise TraceFormatError(f"line {line_no}: expected a JSON object")
+    service, operation, url = obj.get("service"), obj.get("operation"), obj.get("url", "")
     try:
+        if identities is not None and type(service) is type(operation) is type(url) is str:
+            key = (service, operation, url)
+            identity = identities.get(key)
+            if identity is None:
+                identity = identities[key] = SpanIdentity(service, operation, url)
+        else:
+            identity = SpanIdentity(service, operation, url)
         rec = SpanRecord(
-            obj.get("traceId"), obj.get("spanId"), obj.get("parentId"),
-            SpanIdentity(obj.get("service"), obj.get("operation"), obj.get("url", "")),
+            obj.get("traceId"), obj.get("spanId"), obj.get("parentId"), identity,
             obj.get("startUs"), obj.get("durationUs"), obj.get("tags", {}),
         )
     except ValueError as e:
@@ -293,14 +316,21 @@ def write_traces_jsonl(traces: Iterable[Trace], path: str) -> None:
 
 
 def read_traces_jsonl(path: str, lenient: bool = False) -> list[Trace]:
-    """Read traces from JSONL, grouping lines by traceId in first-seen order."""
+    """Read traces from JSONL, grouping lines by traceId in first-seen order.
+
+    One read shares one SpanIdentity per distinct identity, and each
+    trace's spans share its first span's trace id string.
+    """
+    identities: dict[tuple[str, str, str], SpanIdentity] = {}
     groups: dict[str, list[SpanRecord]] = {}
     with open(path) as f:
         for i, line in enumerate(f, start=1):
             line = line.strip()
             if not line:
                 continue
-            rec = span_from_json(line, i)
-            groups.setdefault(rec.trace_id, []).append(rec)
+            rec = span_from_json(line, i, identities)
+            group = groups.setdefault(rec.trace_id, [])
+            if group:
+                rec.trace_id = group[0].trace_id
+            group.append(rec)
     return [build_trace(records, lenient=lenient) for records in groups.values()]
-

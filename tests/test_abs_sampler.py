@@ -303,6 +303,17 @@ def test_policy_header_out_of_range_rejected(field, value):
         policy_from_json_dict(obj)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("epsilon", "0.05"), ("percentile", True), ("probability", "0.5"), ("vitalProbability", False)],
+)
+def test_policy_file_with_non_number_rejected(field, value):
+    obj = policy_to_json_dict(build_policy(_store([(2, 5), (5, 2)]), VitalSetConfig()))
+    (obj if field in obj else obj["entries"][1])[field] = value
+    with pytest.raises(InvalidPolicy, match=field):
+        policy_from_json_dict(obj)
+
+
 def test_report_ranks_by_vital_then_mean():
     store = _store([(2, 8), (8, 2), (5, 5)])
     policy = build_policy(store, VitalSetConfig())

@@ -75,6 +75,27 @@ def test_store_file_with_nan_belief_rejected():
         store_from_json_dict(obj)
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("lambda", "0.3"), ("lambda", True), ("alpha", True), ("alpha", "2"), ("beta", None), ("beta", [1.0])],
+)
+def test_store_file_with_non_number_rejected(key, value):
+    obj = {"epoch": 1, "lambda": 0.3, "mode": "verbatim_ewma",
+           "beliefs": [{"service": "s", "operation": "o", "alpha": 1.0, "beta": 1.0}]}
+    (obj if key == "lambda" else obj["beliefs"][0])[key] = value
+    with pytest.raises(InvalidBelief, match=f"^{key} must be a finite number"):
+        store_from_json_dict(obj)
+
+
+def test_store_file_integer_numbers_load_as_floats():
+    obj = {"epoch": 1, "lambda": 1, "mode": "verbatim_ewma",
+           "beliefs": [{"service": "s", "operation": "o", "alpha": 2, "beta": 3}]}
+    store = store_from_json_dict(obj)
+    belief = store.beliefs[SpanIdentity("s", "o")]
+    assert (store.lam, belief.alpha, belief.beta) == (1.0, 2.0, 3.0)
+    assert all(type(v) is float for v in (store.lam, belief.alpha, belief.beta))
+
+
 @pytest.mark.parametrize("name", ["service", "operation", "url"])
 def test_store_file_with_non_string_identity_rejected(name):
     row = {"service": "s", "operation": "o", "url": "", "alpha": 1.0, "beta": 1.0, name: 5}

@@ -298,6 +298,7 @@ def test_out_of_range_flag_reports_json_error(argv, field, capsys):
         (["--measure", "nosuch"], "nosuch"),
         (["--sweep", "epsilon", "--values", "0.1,1.5"], "epsilon"),
         (["--sweep", "request_sampling_rate", "--values", "0.5,1.5"], "request_sampling_rate"),
+        (["--seeds", "0,-1"], "rngSeed"),
     ],
 )
 def test_experiment_rejects_bad_settings_before_any_run(monkeypatch, capsys, argv, named):
@@ -412,8 +413,8 @@ NON_INTEGER_COUNTS = [
 ]
 
 
-@pytest.mark.parametrize("kind, key, value, error", NON_INTEGER_COUNTS)
-def test_non_integer_count_in_json_file_reports_json_error(tmp_path, capsys, kind, key, value, error):
+def _files_with_one_value_changed(tmp_path, capsys, kind, key, value):
+    """A spec, a state and a policy file, with `key` of the `kind` one set to `value`."""
     traces = _simulate(tmp_path)
     spec, state, policy = tmp_path / "spec.json", tmp_path / "state.json", tmp_path / "policy.json"
     preset = get_preset("media")
@@ -425,6 +426,12 @@ def test_non_integer_count_in_json_file_reports_json_error(tmp_path, capsys, kin
     doc = json.loads(path.read_text())
     (doc["workload"] if kind == "spec" else doc)[key] = value
     path.write_text(json.dumps(doc))
+    return traces, spec, state, policy
+
+
+@pytest.mark.parametrize("kind, key, value, error", NON_INTEGER_COUNTS)
+def test_non_integer_count_in_json_file_reports_json_error(tmp_path, capsys, kind, key, value, error):
+    traces, spec, state, policy = _files_with_one_value_changed(tmp_path, capsys, kind, key, value)
     argv = {
         "spec": ["simulate", "--spec", str(spec), "--out", str(tmp_path / "t.jsonl")],
         "state": ["learn", "--in", str(traces), "--state", str(state)],
@@ -435,6 +442,58 @@ def test_non_integer_count_in_json_file_reports_json_error(tmp_path, capsys, kin
     assert rc == 2
     assert err["error"] == error
     assert key in err["message"]
+
+
+# (file, key, value, error): values float() would have turned into numbers.
+NON_NUMBERS = [
+    ("state", "lambda", "0.3", "InvalidBelief"),
+    ("state", "lambda", True, "InvalidBelief"),
+    ("policy", "epsilon", "0.05", "InvalidPolicy"),
+    ("policy", "percentile", True, "InvalidPolicy"),
+]
+
+
+@pytest.mark.parametrize("kind, key, value, error", NON_NUMBERS)
+def test_non_number_in_json_file_reports_json_error(tmp_path, capsys, kind, key, value, error):
+    _, _, state, policy = _files_with_one_value_changed(tmp_path, capsys, kind, key, value)
+    rc = main(["report", "--state", str(state), "--policy", str(policy)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == error
+    assert f"{key} must be a finite number" in err["message"]
+
+
+# (spec workload key, value): counts below their least value, a rate outside (0, 1].
+OUT_OF_RANGE_WORKLOAD = [
+    ("numRequests", 0),
+    ("batchSize", 0),
+    ("rngSeed", -1),
+    ("requestSamplingRate", 0),
+    ("requestSamplingRate", 1.5),
+]
+
+
+@pytest.mark.parametrize("key, value", OUT_OF_RANGE_WORKLOAD)
+def test_out_of_range_workload_in_spec_file_reports_json_error(tmp_path, capsys, key, value):
+    _, spec, _, _ = _files_with_one_value_changed(tmp_path, capsys, "spec", key, value)
+    rc = main(["simulate", "--spec", str(spec), "--out", str(tmp_path / "t.jsonl")])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "InvalidTopology"
+    assert key in err["message"]
+
+
+def test_negative_seed_flag_reports_json_error(tmp_path, capsys):
+    rc = main(["simulate", "--preset", "social", "--seed", "-1", "--requests", "5",
+               "--out", str(tmp_path / "t.jsonl")])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "InvalidTopology"
+    assert "rngSeed" in err["message"]
+    assert not (tmp_path / "t.jsonl").exists()
 
 
 def test_tags_json_is_strict_json_with_huge_and_constant_float_tags(tmp_path, capsys):

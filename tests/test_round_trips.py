@@ -103,7 +103,7 @@ def test_belief_store_round_trips(lam, mode, epoch, beliefs):
         num_requests=st.integers(1, 2**40),
         request_sampling_rate=st.floats(0.0, 1.0, exclude_min=True),
         batch_size=st.integers(1, 2**40),
-        rng_seed=st.integers(),
+        rng_seed=st.integers(min_value=0),
     ),
     preset=st.sampled_from(["social", "rail", "media-canary"]),
 )
@@ -134,6 +134,7 @@ UNWRITABLE = [
     pytest.param(lambda: SamplingPolicy(0, 2.0, 75.0), InvalidPolicy, "epsilon", id="epsilon=2"),
     pytest.param(lambda: WorkloadSpec(num_requests=2.5), InvalidTopology, "numRequests",
                  id="num_requests=2.5"),
+    pytest.param(lambda: WorkloadSpec(rng_seed=-1), InvalidTopology, "rngSeed", id="rng_seed=-1"),
     pytest.param(lambda: BeliefStore(epoch=2.5), InvalidBelief, "epoch", id="epoch=2.5"),
 ]
 

@@ -275,6 +275,22 @@ def test_head_sampling_rate():
         WorkloadSpec(request_sampling_rate=1.2)
 
 
+@pytest.mark.parametrize(
+    "fields, key",
+    [
+        ({"num_requests": 0}, "numRequests"),
+        ({"batch_size": 0}, "batchSize"),
+        ({"rng_seed": -1}, "rngSeed"),
+        ({"request_sampling_rate": 0.0}, "requestSamplingRate"),
+        ({"request_sampling_rate": 1.2}, "requestSamplingRate"),
+        ({"request_sampling_rate": float("nan")}, "requestSamplingRate"),
+    ],
+)
+def test_workload_range_checks_name_the_spec_key(fields, key):
+    with pytest.raises(InvalidTopology, match=f"^{key} "):
+        WorkloadSpec(**fields)
+
+
 def test_random_delay_ground_truth_and_activation_counts():
     topo = _topology()
     anomaly = RandomDelayAnomaly(target=LEAF, probability=1.0, delay_mean_us=5000.0)

@@ -1,6 +1,8 @@
 """Span tree assembly, interval math, and the JSONL wire format."""
 import json
+import os
 import random
+import tempfile
 
 import numpy as np
 import pytest
@@ -319,6 +321,96 @@ def test_traces_jsonl_file_round_trip(tmp_path):
     assert [t.trace_id for t in back] == ["tA", "tB"]
     assert back[0].span("c").tags == {"shard": "a"}
     assert back[0].end_to_end_latency_us() == 100
+
+
+# (service, operation, url): a url of None leaves the key out, which reads
+# as "", so the two db/find entries are one identity.
+IDENTITY_POOL = [
+    ("api", "get", "/a"),
+    ("api", "get", "/b"),
+    ("api", "post", None),
+    ("db", "find", None),
+    ("db", "find", ""),
+]
+BAD_IDENTITY_FIELDS = [("url", ["u"]), ("service", None)]
+
+
+@st.composite
+def jsonl_files(draw):
+    """Span JSONL lines of interleaved traces drawn from a few identities,
+    some with a blank line before them, and maybe one bad identity field.
+
+    Returns (text, {file line number: line}, line number of the bad line or None).
+    """
+    pending = []
+    for k in range(draw(st.integers(1, 5))):
+        spans = []
+        for i in range(draw(st.integers(1, 6))):
+            service, operation, url = draw(st.sampled_from(IDENTITY_POOL))
+            obj = {"traceId": f"trace-{k}", "spanId": f"span-{i}", "service": service,
+                   "operation": operation, "startUs": draw(st.integers(0, 50)),
+                   "durationUs": draw(st.integers(0, 50))}
+            if i:
+                obj["parentId"] = f"span-{draw(st.integers(0, i - 1))}"
+            if url is not None:
+                obj["url"] = url
+            spans.append(obj)
+        pending.append(spans)
+    objs = []
+    while any(pending):
+        k = draw(st.sampled_from([k for k, spans in enumerate(pending) if spans]))
+        objs.append(pending[k].pop(0))
+    bad = draw(st.none() | st.integers(0, len(objs) - 1))
+    if bad is not None:
+        key, value = draw(st.sampled_from(BAD_IDENTITY_FIELDS))
+        objs[bad][key] = value
+    text, numbered, bad_line_no = "", {}, None
+    for i, obj in enumerate(objs):
+        if draw(st.integers(0, 4)) == 0:
+            text += "\n"
+        line = json.dumps(obj)
+        numbered[text.count("\n") + 1] = line
+        if i == bad:
+            bad_line_no = text.count("\n") + 1
+        text += line + "\n"
+    return text, numbered, bad_line_no
+
+
+def _read_text(text):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "traces.jsonl")
+        with open(path, "w") as f:
+            f.write(text)
+        return read_traces_jsonl(path)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(case=jsonl_files())
+def test_read_shares_identities_and_trace_ids_and_matches_per_line_parse(case):
+    text, numbered, bad_line_no = case
+    if bad_line_no is not None:
+        with pytest.raises(TraceFormatError, match=f"^line {bad_line_no}: ") as per_line:
+            span_from_json(numbered[bad_line_no], bad_line_no)
+        with pytest.raises(TraceFormatError) as read:
+            _read_text(text)
+        assert str(read.value) == str(per_line.value)
+        return
+    groups = {}
+    for line_no, line in numbered.items():
+        rec = span_from_json(line, line_no)
+        groups.setdefault(rec.trace_id, []).append(rec)
+    expected = [build_trace(records) for records in groups.values()]
+    traces = _read_text(text)
+    assert [t.trace_id for t in traces] == [t.trace_id for t in expected]
+    assert [t.preorder() for t in traces] == [t.preorder() for t in expected]
+    assert [decompose(t) for t in traces] == [decompose(t) for t in expected]
+    # One object per distinct identity across the read, one trace id per trace.
+    first_seen = {}
+    for trace in traces:
+        for rec in trace.preorder():
+            assert first_seen.setdefault(rec.identity, rec.identity) is rec.identity
+            assert rec.trace_id is trace.trace_id
+    assert len(first_seen) <= len(IDENTITY_POOL) - 1
 
 
 def test_trace_is_a_trace_instance():
