@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from .abs_sampler import VitalSetConfig, build_policy
-from .belief import BeliefStore, BetaBelief
+from .belief import BeliefStore, BetaBelief, json_integer
 from .presets import get_preset
 from .simulator import (
     ControllerConfig,
@@ -72,7 +72,7 @@ class RunConfig(ControllerConfig):
     def from_json_dict(obj: dict) -> "RunConfig":
         kwargs = {k: v for k, v in obj.items() if k in RunConfig.__dataclass_fields__}
         if "seeds" in kwargs:
-            kwargs["seeds"] = tuple(int(s) for s in kwargs["seeds"])
+            kwargs["seeds"] = tuple(json_integer(s, "seeds", ValueError) for s in kwargs["seeds"])
         return RunConfig(**kwargs)
 
 

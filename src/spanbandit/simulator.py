@@ -10,7 +10,8 @@ times without error, which makes ground truth checkable.
 Each request is one pre-order walk that draws every operation and lays
 out its stages into a flat span list, then one loop over that list that
 makes the recording decisions. The trace is valid by construction, so
-it is assembled directly and not re-validated through `build_trace`.
+its recorded rows go to `trace_from_rows`, which lays them out in
+preorder, and are not re-validated through `build_trace`.
 
 Sampling policies act at span granularity. A span whose recording
 decision fails is *not* free: the work still happens, the span is simply
@@ -31,8 +32,15 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 from .abs_sampler import SamplingPolicy, VitalSetConfig, build_policy, report
-from .belief import BeliefStore, json_integer, learn_batch, write_json
-from .trace_model import SpanIdentity, SpanRecord, Trace, identity_from_json, identity_to_json
+from .belief import BeliefStore, json_integer, json_number, learn_batch, write_json
+from .trace_model import (
+    SPAN_TIME_LIMIT_US,
+    SpanIdentity,
+    Trace,
+    identity_from_json,
+    identity_to_json,
+    trace_from_rows,
+)
 from .utility import DEFAULT_MEASURE, measure_min_samples
 
 
@@ -53,10 +61,10 @@ def _check_fields(obj, finite=(), unit=(), non_negative=(), positive=(), text=()
                 f"{type(obj).__name__}.{name} must be non-empty text, got {value!r}"
             )
     for name in (*finite, *unit, *non_negative, *positive):
-        value = getattr(obj, name)
-        if not math.isfinite(value):
-            problem = "be finite"
-        elif name in unit and not 0.0 <= value <= 1.0:
+        # A bool, a string or a non-finite value is refused; an int is stored as a float.
+        value = json_number(getattr(obj, name), f"{type(obj).__name__}.{name}", InvalidTopology)
+        object.__setattr__(obj, name, value)
+        if name in unit and not 0.0 <= value <= 1.0:
             problem = "lie in [0, 1]"
         elif name in non_negative and value < 0.0:
             problem = "be >= 0"
@@ -68,9 +76,12 @@ def _check_fields(obj, finite=(), unit=(), non_negative=(), positive=(), text=()
 
 
 def _finite_us(value: float, identity: SpanIdentity, what: str) -> int:
-    """`value` rounded to whole microseconds; a non-finite draw names the operation."""
+    """`value` rounded to whole microseconds; a non-finite draw, or one past
+    what a span can hold, names the operation."""
     if not math.isfinite(value):
         raise InvalidTopology(f"{identity.label()} drew a non-finite {what} ({value!r})")
+    if value >= SPAN_TIME_LIMIT_US:
+        raise InvalidTopology(f"{identity.label()} drew a {what} of {value!r} us, past 2**62")
     return int(round(value))
 
 
@@ -336,9 +347,11 @@ class WorkloadSpec:
             if value < least:
                 raise InvalidTopology(f"{key} must be at least {least}, got {value}")
             object.__setattr__(self, name, value)
-        if not 0.0 < self.request_sampling_rate <= 1.0:  # NaN fails every comparison
+        rate = json_number(self.request_sampling_rate, "requestSamplingRate", InvalidTopology)
+        object.__setattr__(self, "request_sampling_rate", rate)
+        if not 0.0 < rate <= 1.0:
             raise InvalidTopology(
-                f"requestSamplingRate must lie in (0, 1], got {self.request_sampling_rate!r}"
+                f"requestSamplingRate must lie in (0, 1], got {rate!r}"
             )
 
 
@@ -420,33 +433,46 @@ def generate_request(
         return span[3]
 
     walk(topology.root, None, 0)
+    if spans[0][3] >= SPAN_TIME_LIMIT_US:  # each draw fits, but their sum, the root's end, may not
+        raise InvalidTopology(f"{topology.root.label()} has a duration of {spans[0][3]} us, past 2**62")
 
     # Recording decisions on a forked stream: policy choices cannot perturb
     # the latency draws above. A dropped span's children attach to its
     # nearest recorded ancestor; the root is always recorded.
     rec_rng = np.random.Generator(np.random.PCG64(int(rng.integers(2**63))))
-    trace_id = f"t{request_index:07d}"
-    records: dict[str, SpanRecord] = {}
-    attach_to: list[str | None] = []  # per walked span: its id if recorded, else its parent's
+    span_ids: list[str] = []
+    parents: list[int] = []
+    identities: list[SpanIdentity] = []
+    starts: list[int] = []
+    durations: list[int] = []
+    recorded_tags: dict[int, dict[str, str]] = {}
+    attach_to: list[int] = []  # per walked span: its row if recorded, else its parent's
     for identity, parent, start_us, duration_us, self_us, tags in spans:
-        parent_id = None if parent is None else attach_to[parent]
+        parent_row = -1 if parent is None else attach_to[parent]
         if parent is not None:
             p = policy.probability(identity) if policy is not None else 1.0
             if not rec_rng.random() < p:
-                attach_to.append(parent_id)
+                attach_to.append(parent_row)
                 continue
-        span_id = f"s{len(records):04d}"
-        attach_to.append(span_id)
+        row = len(span_ids)
+        span_id = f"s{row:04d}"
+        attach_to.append(row)
         if self_times_out is not None:
             # The drawn self time; under a thinning policy the decomposed
             # self segment of a recorded span may exceed it by whatever
             # dropped descendants left uncovered.
             self_times_out[span_id] = self_us
-        records[span_id] = SpanRecord(
-            trace_id, span_id, parent_id, identity, start_us, duration_us, tags
-        )
+        span_ids.append(span_id)
+        parents.append(parent_row)
+        identities.append(identity)
+        starts.append(start_us)
+        durations.append(duration_us)
+        if tags:
+            recorded_tags[row] = tags
     # Valid by construction: one root, every parent recorded before its children.
-    return Trace(trace_id, records, "s0000")
+    return trace_from_rows(
+        f"t{request_index:07d}", span_ids, parents, identities, starts, durations, recorded_tags
+    )
 
 
 def request_rng(seed: int, request_index: int) -> np.random.Generator:
@@ -672,23 +698,23 @@ def anomaly_from_dict(obj: dict) -> AnomalySpec:
     if kind == "random_delay":
         return RandomDelayAnomaly(
             target=identity_from_json(obj["target"]),
-            probability=float(obj["probability"]),
-            delay_mean_us=float(obj["delayMeanUs"]),
-            delay_std_us=float(obj["delayStdUs"]),
+            probability=obj["probability"],
+            delay_mean_us=obj["delayMeanUs"],
+            delay_std_us=obj["delayStdUs"],
         )
     if kind == "contention":
         window = obj.get("window")
         return ContentionAnomaly(
             service=obj["service"],
-            factor=float(obj["factor"]),
+            factor=obj["factor"],
             window=tuple(window) if isinstance(window, list) else window,
         )
     if kind == "canary":
         return CanaryAnomaly(
             service=obj["service"],
-            fraction=float(obj["fraction"]),
-            delay_mean_us=float(obj["delayMeanUs"]),
-            delay_std_us=float(obj["delayStdUs"]),
+            fraction=obj["fraction"],
+            delay_mean_us=obj["delayMeanUs"],
+            delay_std_us=obj["delayStdUs"],
             tag_key=obj.get("tagKey", CanaryAnomaly.tag_key),
             canary_value=obj.get("canaryValue", CanaryAnomaly.canary_value),
             stable_value=obj.get("stableValue", CanaryAnomaly.stable_value),
@@ -737,7 +763,7 @@ def spec_from_json_dict(obj: dict) -> tuple[TopologySpec, tuple[AnomalySpec, ...
     operations = tuple(
         OperationSpec(
             identity=identity_from_json(op),
-            base=LatencyModel(float(op["muLog"]), float(op["sigmaLog"])),
+            base=LatencyModel(op["muLog"], op["sigmaLog"]),
             calls=tuple(
                 CallSpec(identity_from_json(c), c.get("mode", CallSpec.mode))
                 for c in op.get("calls", [])
@@ -753,7 +779,7 @@ def spec_from_json_dict(obj: dict) -> tuple[TopologySpec, tuple[AnomalySpec, ...
     anomalies = tuple(anomaly_from_dict(a) for a in obj.get("anomalies", []))
     # A workload key the file leaves out reads as WorkloadSpec's default.
     w = {**_workload_to_dict(WorkloadSpec()), **obj.get("workload", {})}
-    workload = WorkloadSpec(w["numRequests"], float(w["requestSamplingRate"]), w["batchSize"], w["rngSeed"])
+    workload = WorkloadSpec(w["numRequests"], w["requestSamplingRate"], w["batchSize"], w["rngSeed"])
     return topology, anomalies, workload
 
 

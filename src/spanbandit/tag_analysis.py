@@ -10,11 +10,11 @@ to the top of the report.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .trace_model import SpanIdentity, SpanRecord, Trace, decompose
+from .trace_model import SpanIdentity, Trace, self_segments_us
 
 
 # The latency a tag column is correlated with: the span's self time, its
@@ -80,17 +80,27 @@ class TagMatrix:
         return (self.self_us, self.duration_us, self.e2e_us)[TARGETS.index(which)]
 
 
-def _first_occurrences(traces: Iterable[Trace]) -> dict[SpanIdentity, list[tuple[SpanRecord, int, int]]]:
-    """Each identity's first occurrence per trace, with its self time and the
-    trace's end-to-end latency, from one `decompose` per trace."""
-    rows: dict[SpanIdentity, list[tuple[SpanRecord, int, int]]] = {}
+# One identity's first occurrence in one trace: its tags, self time and
+# duration, and the trace's end-to-end latency.
+_Occurrence = tuple[dict[str, str], int, int, int]
+
+
+def _first_occurrences(traces: Sequence[Trace]) -> dict[SpanIdentity, list[_Occurrence]]:
+    """Each identity's first occurrence per trace, from one `self_segments_us`
+    over the batch."""
+    self_us = self_segments_us(traces).tolist()
+    rows: dict[SpanIdentity, list[_Occurrence]] = {}
+    at = 0
     for trace in traces:
         e2e = trace.end_to_end_latency_us()
-        first: dict[SpanIdentity, tuple[SpanRecord, int, int]] = {}
-        for span, row in zip(trace.preorder(), decompose(trace)):
-            first.setdefault(span.identity, (span, row.self_segment_us, e2e))
+        durations = trace.duration_us.tolist()
+        first: dict[SpanIdentity, _Occurrence] = {}
+        for row, identity in enumerate(trace.identities):
+            if identity not in first:
+                first[identity] = (trace.tags.get(row, {}), self_us[at + row], durations[row], e2e)
         for identity, occurrence in first.items():
             rows.setdefault(identity, []).append(occurrence)
+        at += len(trace)
     return rows
 
 
@@ -102,8 +112,8 @@ def build_tag_matrix(traces: Sequence[Trace], identity: SpanIdentity) -> TagMatr
     return _tag_matrix(identity, rows)
 
 
-def _tag_matrix(identity: SpanIdentity, rows: list[tuple[SpanRecord, int, int]]) -> TagMatrix:
-    tag_rows = [span.tags for span, _, _ in rows]
+def _tag_matrix(identity: SpanIdentity, rows: list[_Occurrence]) -> TagMatrix:
+    tag_rows = [tags for tags, _, _, _ in rows]
     keys = sorted({k for tags in tag_rows for k in tags})
     columns: dict[str, np.ndarray] = {}
     kinds: dict[str, str] = {}
@@ -135,9 +145,9 @@ def _tag_matrix(identity: SpanIdentity, rows: list[tuple[SpanRecord, int, int]])
         columns=columns,
         kinds=kinds,
         code_books=code_books,
-        self_us=np.array([s for _, s, _ in rows], dtype=np.float64),
-        duration_us=np.array([span.duration_us for span, _, _ in rows], dtype=np.float64),
-        e2e_us=np.array([e for _, _, e in rows], dtype=np.float64),
+        self_us=np.array([s for _, s, _, _ in rows], dtype=np.float64),
+        duration_us=np.array([d for _, _, d, _ in rows], dtype=np.float64),
+        e2e_us=np.array([e for _, _, _, e in rows], dtype=np.float64),
     )
 
 

@@ -1,29 +1,45 @@
-"""Span records, trace assembly, and latency decomposition.
+"""Span records, traces held as columns, and latency decomposition.
 
-A trace is a tree of spans, held as its preorder: built once, with each
-span's children in (start, span_id) order. Each span's wall-clock
-duration splits into time spent waiting on recorded children (the union
-of their intervals, clipped to the parent) and a self segment, the
-remainder. Because the preorder visits a parent's children in start
-order, that union is one sweep over it. All times are integer
-microseconds, so the split is exact: for every span,
+A trace is a tree of spans, held as columns in its preorder: each span
+(a row) is followed by its children's subtrees, children in
+(start, span_id) order, so the layout never depends on the order of the
+records. The columns of a `Trace`:
+
+- `span_ids`: a list of str;
+- `parent`: the parent's row as int64, -1 for the root (row 0); a
+  lenient orphan's parent is the root;
+- `identities`: a list of `SpanIdentity` objects, one object per
+  distinct (service, operation, url) within a read;
+- `start_us`, `duration_us`: int64 arrays;
+- `tags`: row -> tags, for the spans that carry any.
+
+`preorder()`, `root` and `span(id)` build `SpanRecord`s on demand.
+
+Each span's wall-clock duration splits into time spent waiting on
+recorded children (the union of their intervals, clipped to the parent)
+and a self segment, the remainder. `self_segments_us` computes it for a
+whole batch with one segmented union over the traces' concatenated rows:
+children grouped by parent in sibling order, which the preorder already
+gives, each clipped to its parent, each covering what lies past the
+running maximum of its earlier siblings' ends. All times are integer
+microseconds below 2**62, so every end fits in int64 and the split is
+exact: for every span,
 
     self_segment_us + child_waiting_us == duration_us
 
 holds without rounding error.
-
-Spans are kept lean, since a trace file holds far more spans than
-distinct identities or traces. `read_traces_jsonl` shares one
-`SpanIdentity` object among the spans of each distinct (service,
-operation, url) in a read, and one `trace_id` string among the spans of
-each trace. `SpanRecord` is slotted, and a `DecomposedSpan` row is a
-named tuple, so it also compares equal to a plain tuple of its fields.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
-from typing import Iterable, NamedTuple
+from array import array
+from dataclasses import dataclass, field
+from typing import Iterable, NamedTuple, Sequence
+
+import numpy as np
+
+# Span times and durations stay below this, so that start + duration fits int64.
+SPAN_TIME_LIMIT_US = 2**62
 
 
 class TraceError(ValueError):
@@ -111,16 +127,22 @@ class SpanRecord:
             raise TraceError(f"spanId must be a non-empty string, got {self.span_id!r}")
         if not (self.parent_id is None or isinstance(self.parent_id, str) and self.parent_id):
             raise TraceError(f"parentId must be null or a non-empty string, got {self.parent_id!r}")
-        if not (type(self.start_us) is int and self.start_us >= 0):  # a bool is no int here
-            raise TraceError(f"startUs must be a non-negative integer, got {self.start_us!r}")
-        if not (type(self.duration_us) is int and self.duration_us >= 0):
-            raise TraceError(f"durationUs must be a non-negative integer, got {self.duration_us!r}")
+        if not (type(self.start_us) is int and 0 <= self.start_us < SPAN_TIME_LIMIT_US):
+            raise TraceError(_time_problem("startUs", self.start_us))
+        if not (type(self.duration_us) is int and 0 <= self.duration_us < SPAN_TIME_LIMIT_US):
+            raise TraceError(_time_problem("durationUs", self.duration_us))
         if not isinstance(self.tags, dict):
             raise TraceError(f"tags must be an object, got {self.tags!r}")
 
     @property
     def end_us(self) -> int:
         return self.start_us + self.duration_us
+
+
+def _time_problem(key: str, value) -> str:
+    if type(value) is int and value >= 0:  # a bool is no int here
+        return f"{key} must be below 2**62, got {value!r}"
+    return f"{key} must be a non-negative integer, got {value!r}"
 
 
 class DecomposedSpan(NamedTuple):
@@ -133,123 +155,253 @@ class DecomposedSpan(NamedTuple):
     self_segment_us: int
 
 
+@dataclass(slots=True, eq=False)
 class Trace:
-    """A span tree for one request, held as its preorder.
+    """A span tree for one request, held as columns in preorder.
 
-    The preorder is built here, once: each span is followed by its
-    children's subtrees, children in (start, span_id) order, so the order
-    never depends on the order of the records. A span that no parent
-    chain links to the root is left out; `build_trace` rejects such trees.
+    `trace_from_rows` builds one from rows in any order; see the module
+    docstring for the columns.
     """
 
-    def __init__(self, trace_id: str, spans: dict[str, SpanRecord], root_id: str):
-        self.trace_id = trace_id
-        self._spans = spans
-        self.root_id = root_id
-        # Children appended in (start, span_id) order, then walked from the root.
-        children: dict[str, list[SpanRecord]] = {}
-        for rec in sorted(spans.values(), key=lambda r: (r.start_us, r.span_id)):
-            if rec.parent_id is not None:
-                children.setdefault(rec.parent_id, []).append(rec)
-        order = []
-        stack = [spans[root_id]]
-        while stack:
-            rec = stack.pop()
-            order.append(rec)
-            stack.extend(reversed(children.get(rec.span_id, ())))
-        self._preorder = order
+    trace_id: str
+    span_ids: list[str]
+    parent: np.ndarray
+    identities: list[SpanIdentity]
+    start_us: np.ndarray
+    duration_us: np.ndarray
+    tags: dict[int, dict[str, str]]
 
     def __len__(self) -> int:
-        return len(self._spans)
+        return len(self.span_ids)
+
+    @property
+    def root_id(self) -> str:
+        return self.span_ids[0]
 
     @property
     def root(self) -> SpanRecord:
-        return self._spans[self.root_id]
+        return self._record(0)
 
     def span(self, span_id: str) -> SpanRecord:
-        return self._spans[span_id]
+        try:
+            return self._record(self.span_ids.index(span_id))
+        except ValueError:
+            raise KeyError(span_id) from None
 
     def preorder(self) -> list[SpanRecord]:
-        return self._preorder
+        return [self._record(row) for row in range(len(self))]
+
+    def _record(self, row: int) -> SpanRecord:
+        parent = int(self.parent[row])
+        return SpanRecord(
+            self.trace_id, self.span_ids[row], self.span_ids[parent] if parent >= 0 else None,
+            self.identities[row], int(self.start_us[row]), int(self.duration_us[row]),
+            dict(self.tags.get(row, {})),
+        )
 
     def end_to_end_latency_us(self) -> int:
-        return self.root.duration_us
+        return int(self.duration_us[0])
+
+
+def trace_from_rows(
+    trace_id: str,
+    span_ids: list[str],
+    parents: list[int],
+    identities: list[SpanIdentity],
+    starts: Sequence[int],
+    durations: Sequence[int],
+    tags: dict[int, dict[str, str]],
+    root: int = 0,
+) -> Trace:
+    """The spans that `root` reaches, as a `Trace` in preorder.
+
+    `parents` holds each row's parent row, -1 for the root. A row whose
+    parent chain never reaches `root` is left out; callers that must
+    reject such trees compare lengths.
+    """
+    keys = list(zip(starts, span_ids))
+    children: dict[int, list[int]] = {}
+    for row in sorted(range(len(keys)), key=keys.__getitem__):
+        children.setdefault(parents[row], []).append(row)
+    order = []
+    stack = [root]
+    while stack:
+        row = stack.pop()
+        order.append(row)
+        kids = children.get(row)
+        if kids:
+            stack.extend(reversed(kids))
+    start = np.asarray(starts, dtype=np.int64)
+    duration = np.asarray(durations, dtype=np.int64)
+    if order != list(range(len(keys))):
+        position = dict(zip(order, range(len(order))))
+        parents = [-1] + [position[parents[row]] for row in order[1:]]
+        span_ids = [span_ids[row] for row in order]
+        identities = [identities[row] for row in order]
+        start, duration = start[order], duration[order]
+        tags = {position[row]: t for row, t in tags.items() if row in position}
+    return Trace(trace_id, span_ids, np.array(parents, dtype=np.int64), identities, start, duration, tags)
+
+
+class _Rows:
+    """One trace's spans in arrival order, on their way to a `Trace`.
+
+    A span's parent is resolved to its row on arrival when the trace has
+    already shown it, and after the trace's last span otherwise. Nothing
+    is raised until `assemble`.
+    """
+
+    __slots__ = ("trace_id", "row_of", "span_ids", "parents", "identities", "starts",
+                 "durations", "tags", "roots", "pending", "duplicate")
+
+    def __init__(self, trace_id: str):
+        self.trace_id = trace_id
+        self.row_of: dict[str, int] = {}  # span id -> its first row
+        self.span_ids: list[str] = []
+        self.parents: list[int] = []  # -1 for a root, -2 while pending
+        self.identities: list[SpanIdentity] = []
+        self.starts = array("q")  # no int object per time while the file is read
+        self.durations = array("q")
+        self.tags: dict[int, dict[str, str]] = {}
+        self.roots: list[int] = []
+        self.pending: list[tuple[int, str]] = []  # (row, parent id) unseen on arrival
+        self.duplicate: str | None = None
+
+    def add(self, rec: SpanRecord) -> None:
+        row = len(self.span_ids)
+        if rec.parent_id is None:
+            parent = -1
+            self.roots.append(row)
+        else:
+            parent = self.row_of.get(rec.parent_id, -2)
+            if parent == -2:
+                self.pending.append((row, rec.parent_id))
+        if self.row_of.setdefault(rec.span_id, row) != row and self.duplicate is None:
+            self.duplicate = rec.span_id
+        self.span_ids.append(rec.span_id)
+        self.parents.append(parent)
+        self.identities.append(rec.identity)
+        self.starts.append(rec.start_us)
+        self.durations.append(rec.duration_us)
+        if rec.tags:
+            self.tags[row] = rec.tags
+
+    def assemble(self, lenient: bool) -> Trace:
+        """Validate the tree and lay it out; see `build_trace`."""
+        if self.duplicate is not None:
+            raise DuplicateSpanId(f"duplicate span id {self.duplicate}")
+        span_ids, parents = self.span_ids, self.parents
+        if len(self.roots) > 1:
+            raise MultipleRoots(f"multiple roots: {', '.join(sorted(span_ids[r] for r in self.roots))}")
+        orphans = []
+        for row, parent_id in self.pending:
+            parent = self.row_of.get(parent_id)
+            if parent is None:
+                orphans.append(row)
+            else:
+                parents[row] = parent
+        if orphans and not (lenient and self.roots):
+            raise OrphanSpan(f"span {min(span_ids[r] for r in orphans)} has unknown parent")
+        if not self.roots:
+            # Every span has a resolving parent, so some parent chain loops.
+            raise CycleDetected(f"no root span; span {min(span_ids)} sits on a parent cycle")
+        root = self.roots[0]
+        for row in orphans:
+            parents[row] = root
+        trace = trace_from_rows(self.trace_id, span_ids, parents, self.identities,
+                                self.starts, self.durations, self.tags, root)
+        # One root and every parent resolved: a span the root's preorder misses
+        # sits on a parent cycle or hangs from one.
+        if len(trace) < len(span_ids):
+            missed = set(span_ids).difference(trace.span_ids)
+            raise CycleDetected(f"span {min(missed)} sits on or under a parent cycle")
+        return trace
 
 
 def build_trace(records: Iterable[SpanRecord], lenient: bool = False) -> Trace:
     """Assemble span records into a validated tree.
 
-    Strict mode rejects duplicate span ids, multiple roots, orphans
-    (parent_id that resolves to no span), and parent cycles. With
-    lenient=True orphans are re-parented to the root instead, which is
-    what partial traces produced by sampling-disabled ancestors need.
+    Strict mode rejects, in this order, duplicate span ids, multiple
+    roots, orphans (parent_id that resolves to no span), and parent
+    cycles. With lenient=True orphans are re-parented to the root
+    instead, which is what partial traces produced by sampling-disabled
+    ancestors need.
     """
-    spans: dict[str, SpanRecord] = {}
-    trace_id = None
+    rows = None
     for rec in records:
-        if trace_id is None:
-            trace_id = rec.trace_id
-        elif rec.trace_id != trace_id:
+        if rows is None:
+            rows = _Rows(rec.trace_id)
+        elif rec.trace_id != rows.trace_id:
             raise TraceError(
-                f"span {rec.span_id}: trace id {rec.trace_id!r} does not match {trace_id!r}"
+                f"span {rec.span_id}: trace id {rec.trace_id!r} does not match {rows.trace_id!r}"
             )
-        if rec.span_id in spans:
-            raise DuplicateSpanId(f"duplicate span id {rec.span_id}")
-        spans[rec.span_id] = rec
-    if not spans:
+        rows.add(rec)
+        if rows.duplicate is not None:
+            break  # raised by assemble, before a later record's trace id is checked
+    if rows is None:
         raise TraceError("empty trace")
+    return rows.assemble(lenient)
 
-    roots = [r.span_id for r in spans.values() if r.parent_id is None]
-    if len(roots) > 1:
-        raise MultipleRoots(f"multiple roots: {', '.join(sorted(roots))}")
 
-    orphans = [r.span_id for r in spans.values() if r.parent_id is not None and r.parent_id not in spans]
-    if orphans and not (lenient and roots):
-        raise OrphanSpan(f"span {sorted(orphans)[0]} has unknown parent")
-    if not roots:
-        # Every span has a resolving parent, so some parent chain loops.
-        raise CycleDetected(f"no root span; span {sorted(spans)[0]} sits on a parent cycle")
-    root_id = roots[0]
-    for sid in orphans:
-        spans[sid] = replace(spans[sid], parent_id=root_id)
+def self_segments_us(traces: Sequence[Trace]) -> np.ndarray:
+    """Self time of every span of `traces`, in (trace, preorder) order.
 
-    trace = Trace(trace_id or "", spans, root_id)
-    # One root and every parent resolved: a span the root's preorder misses
-    # sits on a parent cycle or hangs from one.
-    if len(trace.preorder()) < len(spans):
-        missed = spans.keys() - {rec.span_id for rec in trace.preorder()}
-        raise CycleDetected(f"span {min(missed)} sits on or under a parent cycle")
-    return trace
+    One segmented union over the concatenated rows. Grouped by parent
+    with a stable sort, children keep the preorder's (start, span_id)
+    order. Each child, its end clipped to its parent's, covers the part
+    of it past the reach of the parent's earlier children (or past the
+    parent's start, for the first), and the parent's waiting time is the
+    sum of those parts. Clipping keeps every self segment non-negative
+    when a child overruns its parent.
+    """
+    if not traces:
+        return np.zeros(0, dtype=np.int64)
+    if len(traces) == 1:
+        parent, start, duration = traces[0].parent, traces[0].start_us, traces[0].duration_us
+    else:
+        sizes = [len(t) for t in traces]
+        parent = np.concatenate([t.parent for t in traces])
+        parent = np.where(parent < 0, -1, parent + np.repeat(np.cumsum(sizes) - sizes, sizes))
+        start = np.concatenate([t.start_us for t in traces])
+        duration = np.concatenate([t.duration_us for t in traces])
+    end = start + duration  # each below 2**63, as start and duration are below 2**62
+    child = np.flatnonzero(parent >= 0)
+    if not child.size:
+        return duration.copy()
+    child = child[np.argsort(parent[child], kind="stable")]
+    up = parent[child]
+    hi = np.minimum(end[child], end[up])
+    first = np.empty(child.size, dtype=bool)  # where each parent's group starts
+    first[0] = True
+    np.not_equal(up[1:], up[:-1], out=first[1:])
+    # The running maximum of hi within each group, as the running maximum of
+    # (group, rank of hi) coded in one int64; ranks keep that code below 2**63.
+    by_end = np.argsort(hi)
+    rank = np.empty_like(by_end)
+    rank[by_end] = np.arange(by_end.size)
+    base = (np.cumsum(first) - 1) * by_end.size
+    reach = hi[by_end[np.maximum.accumulate(base + rank) - base]]
+    before = start[up]
+    before[1:] = np.where(first[1:], before[1:], np.maximum(before[1:], reach[:-1]))
+    covered = np.maximum(hi - np.maximum(start[child], before), 0)
+    waiting = np.zeros(duration.size, dtype=np.int64)
+    waiting[up[first]] = np.add.reduceat(covered, np.flatnonzero(first))
+    return duration - waiting
 
 
 def decompose(trace: Trace) -> list[DecomposedSpan]:
-    """Split every span's duration into child-waiting and self time.
+    """Split every span's duration into child-waiting and self time, in preorder.
 
-    One sweep over the preorder, which visits each parent's children in
-    start order: the union of their intervals, each clipped to the
-    parent's, grows by the part of a child that lies past how far the
-    parent's earlier children already reach. Clipping keeps the self
-    segment non-negative when a child overruns its parent. Output follows
-    preorder and is independent of the ordering of the records the trace
-    was built from.
+    `self_segments_us` on this one trace; the rows do not depend on the
+    order of the records the trace was built from.
     """
-    order = trace.preorder()
-    spans = trace._spans
-    waiting: dict[str, int] = {}
-    covered: dict[str, int] = {}  # per parent: how far its children's union reaches
-    for rec in order[1:]:  # every span after the root has a parent
-        pid = rec.parent_id
-        parent = spans[pid]
-        lo = max(rec.start_us, covered.get(pid, parent.start_us))
-        hi = min(rec.start_us + rec.duration_us, parent.start_us + parent.duration_us)
-        if hi > lo:
-            waiting[pid] = waiting.get(pid, 0) + hi - lo
-            covered[pid] = hi
-    out = []
-    for rec in order:
-        w = waiting.get(rec.span_id, 0)
-        out.append(DecomposedSpan(rec.identity, rec.span_id, rec.duration_us, w, rec.duration_us - w))
-    return out
+    durations = trace.duration_us.tolist()
+    return [
+        DecomposedSpan(identity, span_id, d, d - s, s)
+        for identity, span_id, d, s in zip(
+            trace.identities, trace.span_ids, durations, self_segments_us([trace]).tolist()
+        )
+    ]
 
 
 # --- JSONL wire format ------------------------------------------------------
@@ -259,18 +411,28 @@ def decompose(trace: Trace) -> list[DecomposedSpan]:
 #  "operation": ..., "url": ..., "startUs": int, "durationUs": int,
 #  "tags": {...}}
 
+# One encoder and one decoder for every line; json.dumps with separators
+# builds a new encoder per call.
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _span_line(trace_id, span_id, parent_id, identity, start_us, duration_us, tags) -> str:
+    obj: dict = {"traceId": trace_id, "spanId": span_id}
+    if parent_id is not None:
+        obj["parentId"] = parent_id
+    obj["service"] = identity.service
+    obj["operation"] = identity.operation
+    obj["url"] = identity.url
+    obj["startUs"] = start_us
+    obj["durationUs"] = duration_us
+    obj["tags"] = dict(sorted(tags.items())) if tags else {}
+    return _encode(obj)
+
 
 def span_to_json(rec: SpanRecord) -> str:
-    obj: dict = {"traceId": rec.trace_id, "spanId": rec.span_id}
-    if rec.parent_id is not None:
-        obj["parentId"] = rec.parent_id
-    obj["service"] = rec.identity.service
-    obj["operation"] = rec.identity.operation
-    obj["url"] = rec.identity.url
-    obj["startUs"] = rec.start_us
-    obj["durationUs"] = rec.duration_us
-    obj["tags"] = dict(sorted(rec.tags.items()))
-    return json.dumps(obj, separators=(",", ":"))
+    return _span_line(rec.trace_id, rec.span_id, rec.parent_id, rec.identity,
+                      rec.start_us, rec.duration_us, rec.tags)
 
 
 def span_from_json(
@@ -284,9 +446,14 @@ def span_from_json(
     hashable) goes to SpanIdentity, which rejects it.
     """
     try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as e:
-        raise TraceFormatError(f"line {line_no}: malformed JSON ({e.msg})") from e
+        obj, end = _raw_decode(line)
+    except json.JSONDecodeError:
+        end = -1
+    if end != len(line):  # json.loads accepts surrounding whitespace, and words the error
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise TraceFormatError(f"line {line_no}: malformed JSON ({e.msg})") from e
     if not isinstance(obj, dict):
         raise TraceFormatError(f"line {line_no}: expected a JSON object")
     service, operation, url = obj.get("service"), obj.get("operation"), obj.get("url", "")
@@ -304,33 +471,44 @@ def span_from_json(
         )
     except ValueError as e:
         raise TraceFormatError(f"line {line_no}: {e}") from e
-    rec.tags = {str(k): str(v) for k, v in rec.tags.items()}
+    if rec.tags:
+        rec.tags = {str(k): str(v) for k, v in rec.tags.items()}
     return rec
 
 
 def write_traces_jsonl(traces: Iterable[Trace], path: str) -> None:
     with open(path, "w") as f:
-        for trace in traces:
-            for rec in trace.preorder():
-                f.write(span_to_json(rec) + "\n")
+        for t in traces:
+            ids = t.span_ids
+            for row, (span_id, parent, identity, start, duration) in enumerate(
+                zip(ids, t.parent.tolist(), t.identities, t.start_us.tolist(), t.duration_us.tolist())
+            ):
+                parent_id = ids[parent] if parent >= 0 else None
+                f.write(_span_line(t.trace_id, span_id, parent_id, identity, start, duration,
+                                   t.tags.get(row)) + "\n")
 
 
 def read_traces_jsonl(path: str, lenient: bool = False) -> list[Trace]:
     """Read traces from JSONL, grouping lines by traceId in first-seen order.
 
-    One read shares one SpanIdentity per distinct identity, and each
-    trace's spans share its first span's trace id string.
+    Every line is parsed before any tree is checked, so a malformed line
+    anywhere is raised first; then traces are assembled, and their
+    structural errors raised, in first-seen order. One read shares one
+    SpanIdentity per distinct identity, and each trace keeps its first
+    span's trace id string.
     """
     identities: dict[tuple[str, str, str], SpanIdentity] = {}
-    groups: dict[str, list[SpanRecord]] = {}
+    traces: dict[str, _Rows] = {}
     with open(path) as f:
         for i, line in enumerate(f, start=1):
             line = line.strip()
             if not line:
                 continue
             rec = span_from_json(line, i, identities)
-            group = groups.setdefault(rec.trace_id, [])
-            if group:
-                rec.trace_id = group[0].trace_id
-            group.append(rec)
-    return [build_trace(records, lenient=lenient) for records in groups.values()]
+            rows = traces.get(rec.trace_id)
+            if rows is None:
+                rows = traces[rec.trace_id] = _Rows(rec.trace_id)
+            rows.add(rec)
+    # Each trace's rows are dropped once it is assembled, so they and the
+    # finished traces are not all held at once.
+    return [traces.pop(trace_id).assemble(lenient) for trace_id in list(traces)]

@@ -13,7 +13,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .trace_model import SpanIdentity, Trace, decompose
+from .trace_model import SpanIdentity, Trace, self_segments_us
 
 
 class UnknownMeasure(KeyError):
@@ -93,13 +93,22 @@ class UtilityEstimate:
     normalized: float
 
 
-def pool_self_segments(traces: Iterable[Trace]) -> dict[SpanIdentity, list[int]]:
-    """Self segments per identity; repeated spans in one trace each count once."""
-    pools: dict[SpanIdentity, list[int]] = {}
-    for trace in traces:
-        for d in decompose(trace):
-            pools.setdefault(d.identity, []).append(d.self_segment_us)
-    return pools
+def pool_self_segments(traces: Iterable[Trace]) -> dict[SpanIdentity, np.ndarray]:
+    """Self segments per identity in (trace, preorder) order, from one
+    `self_segments_us` over the batch; repeated spans in one trace each count once."""
+    traces = list(traces)
+    identities = [identity for t in traces for identity in t.identities]
+    # Code each distinct object by id() first: equal identities from different
+    # reads are different objects, and merge in `codes`, in first-seen order.
+    codes: dict[SpanIdentity, int] = {}
+    code_of = {
+        key: codes.setdefault(identity, len(codes))
+        for key, identity in {id(i): i for i in identities}.items()
+    }
+    code = np.fromiter(map(code_of.__getitem__, map(id, identities)), dtype=np.intp, count=len(identities))
+    # The stable sort keeps each pool in (trace, preorder) order, which fixes the bits of np.var.
+    pooled = self_segments_us(traces)[np.argsort(code, kind="stable")]
+    return dict(zip(codes, np.split(pooled, np.cumsum(np.bincount(code))[:-1])))
 
 
 def compute_batch_utilities(
@@ -113,7 +122,7 @@ def compute_batch_utilities(
     return _score_pools(pool_self_segments(traces), measure)
 
 
-def _score_pools(pools: dict[SpanIdentity, list[int]], measure: str) -> list[UtilityEstimate]:
+def _score_pools(pools: dict[SpanIdentity, np.ndarray], measure: str) -> list[UtilityEstimate]:
     if measure not in _MEASURES:
         raise UnknownMeasure(measure)
     if not pools:  # every trace holds a span, so only an empty batch pools nothing

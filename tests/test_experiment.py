@@ -33,6 +33,13 @@ def test_run_config_json_round_trip():
     assert back == cfg
 
 
+def test_run_config_from_json_dict_refuses_fractional_seeds():
+    # int() would load [1.7, 2.2] as seeds 1 and 2.
+    with pytest.raises(ValueError, match="seeds must be an integer, got 1.7"):
+        RunConfig.from_json_dict({"preset": "social", "seeds": [1.7, 2.2]})
+    assert RunConfig.from_json_dict({"seeds": [1.0, 2]}).seeds == (1, 2)
+
+
 def test_run_config_ignores_unknown_keys():
     # "mc_rows" is a field of configs written before the planner was exact.
     back = RunConfig.from_json_dict(

@@ -36,7 +36,7 @@ from spanbandit.simulator import (
     save_spec,
     with_seed,
 )
-from spanbandit.trace_model import SpanIdentity, decompose, read_traces_jsonl
+from spanbandit.trace_model import SpanIdentity, read_traces_jsonl, self_segments_us
 
 VOLATILE = {"inference_ms", "timesMs", "medianMs", "workers"}
 
@@ -235,15 +235,16 @@ def test_mixed_spec_fires_every_anomaly(digests, golden_dir):
 
 
 def test_tag_and_measure_analysis_decompose_each_trace_once(digests, golden_dir, monkeypatch):
-    # Each analysis sweeps the batch once, not once per identity or measure.
+    # Each analysis sweeps the batch once, not once per identity or measure:
+    # every trace goes through one self-time union once.
     calls = []
 
-    def counted(trace):
-        calls.append(trace.trace_id)
-        return decompose(trace)
+    def counted(traces):
+        calls.extend(trace.trace_id for trace in traces)
+        return self_segments_us(traces)
 
-    monkeypatch.setattr(tag_analysis, "decompose", counted)
-    monkeypatch.setattr(utility, "decompose", counted)
+    monkeypatch.setattr(tag_analysis, "self_segments_us", counted)
+    monkeypatch.setattr(utility, "self_segments_us", counted)
     path = golden_dir / "media-canary.jsonl"
     traces = read_traces_jsonl(str(path))
     assert len(traces) == 500

@@ -54,8 +54,8 @@ def _through_json(obj):
     span_id=_text,
     parent_id=st.none() | _text,
     identity=_identities,
-    start_us=st.integers(0, 2**63),
-    duration_us=st.integers(0, 2**63),
+    start_us=st.integers(0, 2**62 - 1),
+    duration_us=st.integers(0, 2**62 - 1),
     tags=st.dictionaries(st.text(max_size=8), st.text(max_size=8), max_size=4),
 )
 def test_span_record_round_trips(trace_id, span_id, parent_id, identity, start_us, duration_us, tags):
@@ -119,14 +119,19 @@ def test_integral_float_counts_are_stored_as_ints():
     assert type(SamplingPolicy(epoch=4.0, epsilon=0.1, percentile=50.0).epoch) is int
 
 
-def _span(trace_id="t", parent_id=None, start_us=0):
-    return SpanRecord(trace_id, "s", parent_id, ID, start_us, 1)
+def _span(trace_id="t", parent_id=None, start_us=0, duration_us=1):
+    return SpanRecord(trace_id, "s", parent_id, ID, start_us, duration_us)
 
 
 # Values each format's reader refuses: (construction, error, wire key named).
 UNWRITABLE = [
     pytest.param(lambda: _span(start_us=-5), TraceError, "startUs", id="start_us=-5"),
     pytest.param(lambda: _span(start_us=True), TraceError, "startUs", id="start_us=True"),
+    # Span times are held as 64-bit integers, so start + duration must fit.
+    pytest.param(lambda: _span(start_us=2**62), TraceError, "startUs", id="start_us=2**62"),
+    pytest.param(lambda: _span(start_us=2**63), TraceError, "startUs", id="start_us=2**63"),
+    pytest.param(lambda: _span(duration_us=2**62), TraceError, "durationUs", id="duration_us=2**62"),
+    pytest.param(lambda: _span(duration_us=2**63), TraceError, "durationUs", id="duration_us=2**63"),
     pytest.param(lambda: _span(trace_id=""), TraceError, "traceId", id="trace_id=''"),
     pytest.param(lambda: _span(parent_id=""), TraceError, "parentId", id="parent_id=''"),
     pytest.param(lambda: SamplingPolicy(0, 0.05, 75.0, entries={ID: 1.5}), InvalidPolicy,
@@ -153,6 +158,8 @@ def test_value_its_reader_refuses_cannot_be_built(build, error, key):
         ({"durationUs": -1}, "durationUs"),
         ({"tags": ["a"]}, "tags"),
         ({"traceId": None}, "traceId"),
+        ({"startUs": 2**62}, "startUs"),
+        ({"durationUs": 2**63}, "durationUs"),
     ],
 )
 def test_span_reader_names_the_line_and_the_key(fields, key):

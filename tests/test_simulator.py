@@ -140,6 +140,42 @@ def test_out_of_range_spec_values_rejected(build, field):
         build()
 
 
+# (where in the spec file, key, value, field the error names): numbers the
+# reader once coerced with float(), so "5000.0" loaded as 5000.0.
+NON_NUMBER_SPEC_VALUES = [
+    (0, "delayMeanUs", "5000.0", "delay_mean_us"),
+    (0, "probability", "0.3", "probability"),
+    (0, "delayStdUs", True, "delay_std_us"),
+    (1, "factor", "2", "factor"),
+    (2, "fraction", "0.4", "fraction"),
+    (2, "delayMeanUs", None, "delay_mean_us"),
+    ("operation", "muLog", "6.0", "mu_log"),
+    ("operation", "sigmaLog", False, "sigma_log"),
+    ("workload", "requestSamplingRate", "0.5", "requestSamplingRate"),
+]
+
+
+@pytest.mark.parametrize("where, key, value, named", NON_NUMBER_SPEC_VALUES)
+def test_spec_file_with_non_number_rejected(tmp_path, where, key, value, named):
+    anomalies = (
+        RandomDelayAnomaly(SpanIdentity("text", "process"), 0.5),
+        ContentionAnomaly("post-store", 3.0),
+        CanaryAnomaly("media", 0.4),
+    )
+    path = tmp_path / "spec.json"
+    save_spec(get_preset("social").topology, anomalies, WorkloadSpec(), str(path))
+    doc = json.loads(path.read_text())
+    if where == "operation":
+        doc["topology"]["operations"][0][key] = value
+    elif where == "workload":
+        doc["workload"][key] = value
+    else:
+        doc["anomalies"][where][key] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InvalidTopology, match=f"{named} must be a finite number, got {re.escape(repr(value))}"):
+        load_spec(str(path))
+
+
 def test_spec_file_with_nan_latency_rejected(tmp_path):
     preset = get_preset("social")
     path = tmp_path / "spec.json"
@@ -194,6 +230,19 @@ def test_non_finite_draw_names_the_operation(anomalies, base):
     topo = TopologySpec(root=LEAF, operations=(OperationSpec(LEAF, base),))
     with pytest.raises(InvalidTopology, match=re.escape(LEAF.label())):
         simulate_workload(topo, anomalies, WorkloadSpec(num_requests=20, rng_seed=4))
+
+
+def test_span_times_past_2_62_name_the_operation_or_the_root():
+    # A trace holds its times as int64: one draw past 2**62 names the
+    # operation that drew it, and draws that fit but sum past it the root.
+    huge = TopologySpec(root=LEAF, operations=(OperationSpec(LEAF, LatencyModel(np.log(2.0**62) + 0.01, 0.0)),))
+    with pytest.raises(InvalidTopology, match=re.escape(f"{LEAF.label()} drew a latency of")):
+        generate_request(huge, (), None, request_rng(0, 0))
+    large = LatencyModel(np.log(0.6 * 2.0**62), 0.0)
+    pair = TopologySpec(root=ROOT, operations=(OperationSpec(ROOT, large, calls=(CallSpec(LEAF),)),
+                                               OperationSpec(LEAF, large)))
+    with pytest.raises(InvalidTopology, match=re.escape(f"{ROOT.label()} has a duration of")):
+        generate_request(pair, (), None, request_rng(0, 0))
 
 
 def test_closed_loop_needs_an_epoch():

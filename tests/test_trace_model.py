@@ -25,6 +25,7 @@ from spanbandit import (
     span_to_json,
     write_traces_jsonl,
 )
+from spanbandit.utility import pool_self_segments
 
 WEB = SpanIdentity("web", "get")
 DB = SpanIdentity("db", "find")
@@ -417,3 +418,125 @@ def test_trace_is_a_trace_instance():
     t = build_trace([_span("p", None, 0, 1, WEB)])
     assert isinstance(t, Trace)
     assert len(t) == 1
+
+
+def _write_lines(path, objs):
+    path.write_text("".join(json.dumps(obj) + "\n" for obj in objs))
+    return str(path)
+
+
+def _obj(trace_id, span_id, parent_id=None, start=0, dur=10):
+    obj = {"traceId": trace_id, "spanId": span_id, "service": "w", "operation": "o",
+           "startUs": start, "durationUs": dur}
+    if parent_id is not None:
+        obj["parentId"] = parent_id
+    return obj
+
+
+def test_format_errors_come_before_structural_errors_and_traces_in_first_seen_order(tmp_path):
+    # A duplicate span id early in the file does not hide a malformed line after it.
+    dup = [_obj("a", "r"), _obj("a", "r")]
+    path = _write_lines(tmp_path / "dup-then-bad.jsonl", dup)
+    with open(path, "a") as f:
+        f.write("{not json\n")
+    with pytest.raises(TraceFormatError, match="^line 3: malformed JSON"):
+        read_traces_jsonl(path)
+    # Of two bad traces, the one whose first line comes first raises.
+    a_first = [_obj("a", "r"), _obj("b", "q"), _obj("a", "r"), _obj("b", "x", "ghost")]
+    with pytest.raises(DuplicateSpanId, match="duplicate span id r"):
+        read_traces_jsonl(_write_lines(tmp_path / "a-first.jsonl", a_first))
+    b_first = [a_first[1], a_first[0], *a_first[2:]]
+    with pytest.raises(OrphanSpan, match="span x has unknown parent"):
+        read_traces_jsonl(_write_lines(tmp_path / "b-first.jsonl", b_first))
+
+
+def test_interleaved_children_first_file_reads_as_the_sorted_file(tmp_path):
+    from spanbandit import WorkloadSpec, get_preset, simulate_workload
+
+    preset = get_preset("social")
+    traces, _ = simulate_workload(preset.topology, preset.anomalies,
+                                  WorkloadSpec(num_requests=12, rng_seed=3))
+    sorted_path = tmp_path / "sorted.jsonl"
+    write_traces_jsonl(traces, str(sorted_path))
+    by_trace = {}
+    for line in sorted_path.read_text().splitlines():
+        by_trace.setdefault(json.loads(line)["traceId"], []).append(line)
+    # Each trace's lines reversed (children before parents), dealt out round-robin:
+    # the first line of trace k still comes before the first line of trace k + 1.
+    stacks = [lines[::-1] for lines in by_trace.values()]
+    mixed = []
+    while any(stacks):
+        mixed += [stack.pop(0) for stack in stacks if stack]
+    mixed_path = tmp_path / "mixed.jsonl"
+    mixed_path.write_text("\n".join(mixed) + "\n")
+    expected = read_traces_jsonl(str(sorted_path))
+    got = read_traces_jsonl(str(mixed_path))
+    assert [t.trace_id for t in got] == [t.trace_id for t in expected] == list(by_trace)
+    assert [t.preorder() for t in got] == [t.preorder() for t in expected]
+    assert [decompose(t) for t in got] == [decompose(t) for t in expected]
+
+
+IDENTITIES = [WEB, DB, SpanIdentity("cache", "get")]
+
+
+@st.composite
+def span_forests(draw):
+    """A batch of span trees whose children overlap, touch, overrun or
+    precede their parent, have zero length, or are orphans (re-parented to
+    the root), with every time in a trace offset by 0 or by nearly 2**62.
+
+    Returns [(records, parent of each span once orphans are re-parented)].
+    """
+    forest = []
+    for k in range(draw(st.integers(1, 4))):
+        base = draw(st.sampled_from([0, 2**62 - 1000]))
+        times = st.integers(0, 24).map(lambda t: base + 5 * t)
+        lengths = st.integers(0, 24).map(lambda t: 5 * t) | st.just(2**62 - 1)
+        recs = [_span("s0", None, draw(times), draw(lengths), draw(st.sampled_from(IDENTITIES)),
+                      trace_id=f"t{k}")]
+        parents = {"s0": None}
+        for i in range(1, draw(st.integers(1, 10))):
+            parent = f"s{draw(st.integers(0, i - 1))}"
+            orphan = draw(st.integers(0, 5)) == 0
+            recs.append(_span(f"s{i}", f"ghost{i}" if orphan else parent, draw(times),
+                              draw(lengths), draw(st.sampled_from(IDENTITIES)), trace_id=f"t{k}"))
+            parents[f"s{i}"] = "s0" if orphan else parent
+        forest.append((recs, parents))
+    return forest
+
+
+def _union_length(intervals):
+    """Total length of a union of half-open intervals, by sorting and merging."""
+    total, reach = 0, None
+    for lo, hi in sorted(i for i in intervals if i[1] > i[0]):
+        if reach is None or lo > reach:
+            total += hi - lo
+            reach = hi
+        elif hi > reach:
+            total += hi - reach
+            reach = hi
+    return total
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(forest=span_forests())
+def test_decompose_and_pools_match_an_interval_union_oracle(forest):
+    traces = []
+    for recs, parents in forest:
+        trace = build_trace(recs, lenient=True)
+        by_id = {r.span_id: r for r in recs}
+        rows = decompose(trace)
+        assert [d.span_id for d in rows] == [r.span_id for r in trace.preorder()]
+        for d in rows:
+            p = by_id[d.span_id]
+            clipped = [(max(c.start_us, p.start_us), min(c.end_us, p.end_us))
+                       for c in recs if parents[c.span_id] == d.span_id]
+            assert d.child_waiting_us == _union_length(clipped)
+            assert d.self_segment_us == p.duration_us - d.child_waiting_us >= 0
+        traces.append(trace)
+    expected = {}
+    for trace in traces:
+        for d in decompose(trace):
+            expected.setdefault(d.identity, []).append(d.self_segment_us)
+    pools = pool_self_segments(traces)
+    assert {k: list(v) for k, v in pools.items()} == expected
