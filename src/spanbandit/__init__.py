@@ -51,11 +51,9 @@ from .belief import (
     write_json,
 )
 from .experiment import (
-    BenchResult,
     ExperimentResult,
     RunConfig,
     SweepPoint,
-    bench_inference,
     run_experiment,
     run_one,
     sweep,

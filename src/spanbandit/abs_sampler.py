@@ -22,6 +22,16 @@ divided back out of the all-identity count (Hong 2013, CSDA 59). The
 result is a pure function of the beliefs, P and epsilon: no random
 draws, no seed.
 
+Most bins need no count pmf. With N the count of all S identities below
+a bin and mu its mean, the Chernoff-Hoeffding bound (Hoeffding 1963,
+JASA 58, Theorem 1) gives P(N >= m) <= exp(-S KL(m/S || mu/S)) when
+mu < m, and the same bound on P(N <= m) when mu > m. As
+P(N >= m+1) <= P(N_-j >= m) <= P(N >= m) for every identity j, a bin
+whose bound is below DECIDED_TAIL (1e-17) is settled: every tail there
+is 0 (mu < m) or 1 (mu > m) to within 1e-17. The pmf and the divisions
+run only on the bins left: 14-16 of 88 for 564 beliefs with alpha and
+beta uniform in [1, 10].
+
 The grid is GRID_BINS uniform bins over [0, 1], with TAIL_NODES more
 nodes inside each end bin at 1/GRID_BINS raised to the powers
 TAIL_POWER, TAIL_POWER**2, ... (mirrored near 1). The tail nodes matter:
@@ -50,6 +60,9 @@ TAIL_POWER = 1.4
 # 5e-4, a thirtieth of a uniform bin; larger sums are scaled down to it
 # (mean kept), which bounds the continued fraction's steps.
 MAX_CONCENTRATION = 1e6
+# A grid bin whose count below is this unlikely to fall on the other side
+# of m is settled without building its pmf (see _undecided_bins).
+DECIDED_TAIL = 1e-17
 _CF_EPS = 1e-15
 _CF_TINY = 1e-300
 _CF_MAX_STEPS = 10_000
@@ -201,10 +214,24 @@ def _count_pmf(p: np.ndarray) -> np.ndarray:
     return pmf
 
 
+def _undecided_bins(mean_count: np.ndarray, s: int, m: int) -> np.ndarray:
+    """The bins where the count of S identities below, of mean mu = mean_count, is
+    not settled against m: its Chernoff-Hoeffding bound exp(-S KL(m/S || mu/S))
+    on the far side of m is not below DECIDED_TAIL (see the module docstring).
+    """
+    a, mean = m / s, np.clip(mean_count / s, 0.0, 1.0)
+    with np.errstate(divide="ignore"):  # log(0) = -inf: the far side is empty
+        kl = (1.0 - a) * (math.log1p(-a) - np.log1p(-mean))
+        if m:
+            kl += a * (math.log(a) - np.log(mean))
+    return ~(s * kl > -math.log(DECIDED_TAIL))
+
+
 def _others_at_least(p: np.ndarray, m: int) -> np.ndarray:
     """P(#{i != j : X_i below} >= m) for each identity j and bin g.
 
-    p[i, g] is the chance that identity i lies below bin g. The
+    p[i, g] is the chance that identity i lies below bin g. Bins that
+    `_undecided_bins` settles get 0 or 1. In the rest, the
     Poisson-binomial pmf of the count below is built over all S
     identities, as the bin-by-bin convolution of its two halves' pmfs
     (half the cost of one pass over all S); identity j is then divided
@@ -212,6 +239,18 @@ def _others_at_least(p: np.ndarray, m: int) -> np.ndarray:
     p <= 1/2 and backward over its suffix sums where p > 1/2, each the
     numerically stable direction.
     """
+    mean_count = p.sum(axis=0)
+    undecided = _undecided_bins(mean_count, p.shape[0], m)
+    if undecided.all():
+        return _divided_out(p, m)
+    tails = np.broadcast_to(mean_count > m, p.shape).astype(float)
+    if undecided.any():
+        tails[:, undecided] = _divided_out(p[:, undecided], m)
+    return tails
+
+
+def _divided_out(p: np.ndarray, m: int) -> np.ndarray:
+    """`_others_at_least` in every bin of p, by the pmf and the Horner sums."""
     s = p.shape[0]
     q = 1.0 - p
     low, high = _count_pmf(p[: s // 2]), _count_pmf(p[s // 2 :])

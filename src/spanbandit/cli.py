@@ -27,7 +27,6 @@ from .experiment import (
     SWEEPABLE,
     WITHIN_TRACES,
     RunConfig,
-    bench_inference,
     run_experiment,
     sweep,
     write_epoch_rows,
@@ -42,8 +41,8 @@ from .simulator import (
 from .tag_analysis import DEFAULT_TARGET, TARGETS, build_tag_matrix, correlation_report, strongest_tag
 from .trace_model import (
     SpanIdentity,
-    decompose,
     read_traces_jsonl,
+    self_segments_us,
     write_traces_jsonl,
 )
 from .utility import DEFAULT_MEASURE
@@ -114,18 +113,23 @@ def _cmd_decompose(args) -> int:
                 "self_segment_us",
             ]
         )
+        # One union over the whole file; its rows run in (trace, preorder) order.
+        self_us = iter(self_segments_us(traces).tolist())
         for trace in traces:
-            for row in decompose(trace):
+            for span_id, identity, duration in zip(
+                trace.span_ids, trace.identities, trace.duration_us.tolist()
+            ):
+                own = next(self_us)
                 writer.writerow(
                     [
                         trace.trace_id,
-                        row.span_id,
-                        row.identity.service,
-                        row.identity.operation,
-                        row.identity.url,
-                        row.duration_us,
-                        row.child_waiting_us,
-                        row.self_segment_us,
+                        span_id,
+                        identity.service,
+                        identity.operation,
+                        identity.url,
+                        duration,
+                        duration - own,
+                        own,
                     ]
                 )
     finally:
@@ -274,17 +278,6 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    result = bench_inference(
-        num_identities=args.identities,
-        reps=args.reps,
-        percentile=args.percentile,
-        seed=_resolve_seed(args),
-    )
-    _print_json({"command": "bench-inference", **result.to_json_dict()})
-    return 0
-
-
 def _add_planner_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--percentile", type=float, default=VitalSetConfig.percentile_p,
                    help="vital-set percentile P")
@@ -377,13 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--percentile", type=float, default=ComparisonConfig.abs_percentile)
     p.add_argument("--out", help="write the full comparison JSON here")
     p.set_defaults(func=_cmd_compare)
-
-    p = sub.add_parser("bench-inference", help="time policy planning at a given store size")
-    p.add_argument("--identities", type=int, default=564)
-    p.add_argument("--reps", type=int, default=5)
-    p.add_argument("--percentile", type=float, default=VitalSetConfig.percentile_p)
-    p.add_argument("--seed", type=int)
-    p.set_defaults(func=_cmd_bench)
 
     return parser
 

@@ -8,12 +8,10 @@ from __future__ import annotations
 
 import csv
 import json
-import time
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .abs_sampler import VitalSetConfig, build_policy
 from .belief import BeliefStore, BetaBelief, json_integer
 from .presets import get_preset
 from .simulator import (
@@ -239,29 +237,6 @@ def write_sweep_csv(points: list[SweepPoint], config: RunConfig, path: str) -> N
             )
 
 
-# --- planner benchmark ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BenchResult:
-    num_identities: int
-    reps: int
-    times_ms: tuple[float, ...]
-
-    @property
-    def median_ms(self) -> float:
-        return float(np.median(self.times_ms))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "numIdentities": self.num_identities,
-            "reps": self.reps,
-            "timesMs": [round(t, 3) for t in self.times_ms],
-            "medianMs": round(self.median_ms, 3),
-            "version": VERSION,
-        }
-
-
 def synthetic_store(num_identities: int, seed: int = 0) -> BeliefStore:
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 9001))))
     beliefs = {}
@@ -271,27 +246,3 @@ def synthetic_store(num_identities: int, seed: int = 0) -> BeliefStore:
             alpha=float(1.0 + 9.0 * rng.random()), beta=float(1.0 + 9.0 * rng.random())
         )
     return BeliefStore(epoch=1, beliefs=beliefs)
-
-
-def bench_inference(
-    num_identities: int,
-    reps: int,
-    percentile: float = VitalSetConfig.percentile_p,
-    seed: int = 0,
-) -> BenchResult:
-    """Median wall time to plan one policy from a store of the given size."""
-    if reps < 1:
-        raise ValueError(f"reps must be at least 1, got {reps}")
-    store = synthetic_store(num_identities, seed)
-    cfg = VitalSetConfig(percentile_p=percentile)
-    build_policy(store, cfg)  # warm allocator and caches
-    times = []
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        build_policy(store, cfg)
-        times.append((time.perf_counter() - t0) * 1000.0)
-    return BenchResult(
-        num_identities=num_identities,
-        reps=reps,
-        times_ms=tuple(times),
-    )

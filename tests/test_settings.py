@@ -7,7 +7,6 @@ harness and the CLI apart.
 """
 import argparse
 import dataclasses
-import inspect
 
 import pytest
 
@@ -20,7 +19,6 @@ from spanbandit.experiment import (
     SWEEPABLE,
     WITHIN_TRACES,
     RunConfig,
-    bench_inference,
 )
 from spanbandit.presets import preset_names
 from spanbandit.simulator import ControllerConfig
@@ -29,7 +27,6 @@ from spanbandit.utility import DEFAULT_MEASURE
 
 KNOBS = ("measure", "lam", "mode", "percentile", "epsilon")
 PLANNER = {"percentile": VitalSetConfig.percentile_p, "epsilon": VitalSetConfig.epsilon}
-BENCH = inspect.signature(bench_inference).parameters
 
 # subcommand -> (required arguments, {dest: library default}, {dest: library choices})
 MIRRORS = {
@@ -64,7 +61,6 @@ MIRRORS = {
         },
         {"env": ENV_KINDS},
     ),
-    "bench-inference": ([], {"percentile": BENCH["percentile"].default}, {}),
 }
 
 
@@ -90,7 +86,6 @@ def test_controller_knobs_have_one_default():
     assert (controller.lam, controller.mode) == (store.lam, store.mode)
     assert (controller.percentile, controller.epsilon) == (planner.percentile_p, planner.epsilon)
     assert controller.measure == DEFAULT_MEASURE
-    assert BENCH["percentile"].default == planner.percentile_p
     assert controller.mode in UPDATE_MODES
 
 
