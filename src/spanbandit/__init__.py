@@ -41,7 +41,6 @@ from .belief import (
     InvalidBelief,
     NormalizationOutOfRange,
     init_belief,
-    learn_batch,
     load_store,
     posterior_variance,
     save_store,

@@ -15,26 +15,25 @@ sampler: same arms, same budget, survivor counts compared directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .abs_sampler import VitalSetConfig, build_policy
 from .belief import BeliefStore, update_epoch
+from .simulator import ControllerConfig
 from .trace_model import SpanIdentity
-from .utility import UtilityEstimate
+from .utility import score_pools
 
 
 # Fixed settings of the contenders: the (epsilon, delta) confidence pair of
 # both elimination baselines, and the belief sampler's per-epoch draws per
-# live arm and belief update; its exploration floor is the planner's default.
+# live arm and controller; its exploration floor is the planner's default.
 EPSILON = 0.4
 DELTA = 0.2
 EGE_MAX_ROUNDS = 30
 ABS_DRAWS_PER_ARM = 4
-ABS_LAM = 0.1
-ABS_MODE = "discounted_count"
+ABS_CONTROLLER = ControllerConfig(measure="mean", lam=0.1, mode="discounted_count", percentile=90.0)
 ABS_MAX_EPOCHS = 40
 # The synthetic arm layouts make_arm_env builds.
 ENV_KINDS = ("skewed", "uniform")
@@ -48,7 +47,7 @@ class ComparisonConfig:
     seed: int = 0
     ege_quota_cap: int = 24
     ege_me_cap: int = 6
-    abs_percentile: float = 90.0
+    abs_percentile: float = ABS_CONTROLLER.percentile
 
     def __post_init__(self) -> None:
         # A zero cap samples nothing and ranks arms on NaN means; the skewed
@@ -61,6 +60,7 @@ class ComparisonConfig:
                 raise ValueError(
                     f"ComparisonConfig.{name} must be at least {floor}, got {value!r}"
                 )
+        replace(ABS_CONTROLLER, percentile=self.abs_percentile)  # checked before any contender runs
 
 
 class BudgetExhausted(RuntimeError):
@@ -157,19 +157,19 @@ class EliminationOutcome:
         return 1.0 - len(self.survivors) / num_arms
 
 
-def _sample_means(
+def _sample_draws(
     env: ArmEnvironment,
     arms: Sequence[int],
     n: int,
     rng: np.random.Generator,
     budget: SampleBudget,
-) -> dict[int, float]:
-    """Pay for and draw n samples of each arm in turn; their sample means."""
-    means = {}
+) -> dict[int, np.ndarray]:
+    """Pay for and draw n samples of each arm in turn."""
+    draws = {}
     for a in arms:
         budget.charge(n)
-        means[a] = float(env.draw(a, n, rng).mean())
-    return means
+        draws[a] = env.draw(a, n, rng)
+    return draws
 
 
 def _me_rounds(
@@ -189,7 +189,7 @@ def _me_rounds(
         quota = me_round_quota(eps_l, delta_l)
         if quota_cap is not None:
             quota = min(quota, quota_cap)
-        means = _sample_means(env, current, quota, rng, budget)
+        means = {a: float(x.mean()) for a, x in _sample_draws(env, current, quota, rng, budget).items()}
         ranked = sorted(current, key=lambda a: (-means[a], a))
         current = sorted(ranked[: (len(current) + 1) // 2])
         yield current
@@ -254,7 +254,7 @@ def ege_run(
             quota = ege_round_quota(eps_r, delta_r)
             if quota_cap is not None:
                 quota = min(quota, quota_cap)
-            means = _sample_means(env, arms, quota, rng, budget)
+            means = {a: float(x.mean()) for a, x in _sample_draws(env, arms, quota, rng, budget).items()}
             ref = median_elimination(
                 env, arms, eps_r / 2.0, delta_r, rng, budget, quota_cap=me_quota_cap
             )
@@ -270,39 +270,31 @@ def abs_run(
     env: ArmEnvironment,
     budget: SampleBudget,
     seed: int = 0,
-    percentile: float = ComparisonConfig.abs_percentile,
+    percentile: float = ABS_CONTROLLER.percentile,
 ) -> EliminationOutcome:
     """The belief sampler driving elimination on the same arm interface.
 
-    Arms become span identities; batch means (normalized by the batch
-    max) feed the usual belief update, and an arm is retired once its
-    vital-set probability falls below epsilon. Eliminated arms stop
+    Arms become span identities; each epoch's draws are scored as a batch
+    of spans is (under `ABS_CONTROLLER`'s measure, their means over the
+    batch max) and feed the usual belief update, and an arm is retired
+    once its vital-set probability falls below epsilon. Eliminated arms stop
     costing budget, which is the mechanism the fixed-quota baselines
     lack. The counting mode is used here because elimination wants
     beliefs that concentrate with evidence. A retired arm's belief is
     deleted, so the store only ever holds the arms still planned over.
     """
+    controller = replace(ABS_CONTROLLER, percentile=percentile)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 4303))))
     identities = [SpanIdentity(f"arm-{i:03d}", "reward") for i in range(env.num_arms)]
-    store = BeliefStore(lam=ABS_LAM, mode=ABS_MODE)
+    store = BeliefStore(lam=controller.lam, mode=controller.mode)
     survivors = list(range(env.num_arms))
     trail = [(0, len(survivors))]
     for _ in range(ABS_MAX_EPOCHS):
         if len(survivors) <= 1 or budget.remaining < ABS_DRAWS_PER_ARM * len(survivors):
             break
-        means = _sample_means(env, survivors, ABS_DRAWS_PER_ARM, rng, budget)
-        top = max(means.values())
-        estimates = [
-            UtilityEstimate(
-                identity=identities[a],
-                sample_count=ABS_DRAWS_PER_ARM,
-                raw=means[a],
-                normalized=means[a] / top if top > 0 else 0.0,
-            )
-            for a in survivors
-        ]
-        update_epoch(store, estimates)
-        policy = build_policy(store, VitalSetConfig(percentile))
+        draws = _sample_draws(env, survivors, ABS_DRAWS_PER_ARM, rng, budget)
+        update_epoch(store, score_pools({identities[a]: x for a, x in draws.items()}, controller.measure))
+        policy = controller.plan(store)
         for a in survivors:
             if policy.eliminated(identities[a]):
                 del store.beliefs[identities[a]]

@@ -27,10 +27,10 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .trace_model import SpanIdentity, Trace, identity_from_json, identity_to_json
-from .utility import DEFAULT_MEASURE, UtilityEstimate, compute_batch_utilities, measure_min_samples
+from .trace_model import SpanIdentity, identity_from_json, identity_to_json
+from .utility import UtilityEstimate
 
 PARAM_FLOOR = 1e-9
 UPDATE_MODES = ("verbatim_ewma", "discounted_count")
@@ -152,23 +152,6 @@ def update_epoch(store: BeliefStore, estimates: Iterable[UtilityEstimate]) -> Be
         b.beta = max(b.beta, PARAM_FLOOR)
     store.epoch += 1
     return store
-
-
-def learn_batch(
-    store: BeliefStore, traces: Sequence[Trace], measure: str = DEFAULT_MEASURE
-) -> list[UtilityEstimate]:
-    """The learning half of one epoch: score the batch, then update the store.
-
-    An estimate from fewer observations than the measure needs (a single
-    observation carries no spread) is withheld, so its identity is left
-    untouched as if absent instead of being pushed toward zero utility.
-    Returns the estimates that were applied.
-    """
-    estimates = compute_batch_utilities(traces, measure)
-    floor = measure_min_samples(measure)
-    estimates = [e for e in estimates if e.sample_count >= floor]
-    update_epoch(store, estimates)
-    return estimates
 
 
 # --- snapshot wire format ----------------------------------------------------

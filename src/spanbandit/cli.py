@@ -13,15 +13,9 @@ import os
 import sys
 from dataclasses import asdict, fields, replace
 
-from .abs_sampler import (
-    VitalSetConfig,
-    build_policy,
-    load_policy,
-    report,
-    save_policy,
-)
+from .abs_sampler import VitalSetConfig, load_policy, report, save_policy
 from .baselines import ENV_KINDS, ComparisonConfig, compare_elimination
-from .belief import UPDATE_MODES, BeliefStore, learn_batch, load_store, save_store, write_json
+from .belief import UPDATE_MODES, BeliefStore, load_store, save_store, write_json
 from .experiment import (
     DETECT_THRESHOLD,
     SWEEPABLE,
@@ -34,6 +28,7 @@ from .experiment import (
 )
 from .presets import get_preset, preset_names
 from .simulator import (
+    ControllerConfig,
     ground_truth_to_json_dict,
     load_spec,
     simulate_workload,
@@ -138,21 +133,21 @@ def _cmd_decompose(args) -> int:
     return 0
 
 
-def _planner_config(args) -> VitalSetConfig:
-    return VitalSetConfig(percentile_p=args.percentile, epsilon=args.epsilon)
-
-
 def _cmd_learn(args) -> int:
-    traces = read_traces_jsonl(args.input, lenient=args.lenient)
     store = load_store(args.state) if os.path.exists(args.state) else BeliefStore()
     # replace() re-runs the store's validation on the overridden knobs.
     overrides = {k: v for k, v in (("lam", args.lam), ("mode", args.mode)) if v is not None}
     store = replace(store, **overrides)
-    estimates = learn_batch(store, traces, args.measure)
+    # The controller checks every knob before the input is read or the state written.
+    controller = ControllerConfig(
+        measure=args.measure, lam=store.lam, mode=store.mode, percentile=args.percentile, epsilon=args.epsilon
+    )
+    traces = read_traces_jsonl(args.input, lenient=args.lenient)
+    estimates = controller.learn(store, traces)
     save_store(store, args.state_out or args.state)
     policy_entries = None
     if args.policy_out:
-        policy = build_policy(store, _planner_config(args))
+        policy = controller.plan(store)
         save_policy(policy, args.policy_out)
         policy_entries = len(policy.entries)
     _print_json(
@@ -174,11 +169,10 @@ def _cmd_learn(args) -> int:
 def _cmd_report(args) -> int:
     if args.top is not None and args.top < 1:
         raise ValueError(f"--top must be at least 1, got {args.top}")
+    # The planner flags are checked even when --policy makes them unused.
+    controller = ControllerConfig(percentile=args.percentile, epsilon=args.epsilon)
     store = load_store(args.state)
-    if args.policy:
-        policy = load_policy(args.policy)
-    else:
-        policy = build_policy(store, _planner_config(args))
+    policy = load_policy(args.policy) if args.policy else controller.plan(store)
     rep = report(policy, store)
     if args.csv:
         with open(args.csv, "w") as f:

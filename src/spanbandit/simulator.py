@@ -32,7 +32,7 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 from .abs_sampler import SamplingPolicy, VitalSetConfig, build_policy, report
-from .belief import BeliefStore, json_integer, json_number, learn_batch, write_json
+from .belief import BeliefStore, json_integer, json_number, update_epoch, write_json
 from .trace_model import (
     SPAN_TIME_LIMIT_US,
     SpanIdentity,
@@ -41,7 +41,7 @@ from .trace_model import (
     identity_to_json,
     trace_from_rows,
 )
-from .utility import DEFAULT_MEASURE, measure_min_samples
+from .utility import DEFAULT_MEASURE, UtilityEstimate, compute_batch_utilities, measure_min_samples
 
 
 class InvalidTopology(ValueError):
@@ -509,7 +509,8 @@ def simulate_workload(
 
 @dataclass(frozen=True)
 class ControllerConfig:
-    """Knobs of the learning side of the loop, defaulting to, and checked by, their owners."""
+    """Knobs of the learning side of the loop, defaulting to, and checked by, their owners;
+    `learn` and `plan` are the two halves of one epoch step."""
 
     measure: str = DEFAULT_MEASURE
     lam: float = BeliefStore.lam
@@ -519,8 +520,27 @@ class ControllerConfig:
 
     def __post_init__(self) -> None:
         BeliefStore(lam=self.lam, mode=self.mode)
-        VitalSetConfig(self.percentile, self.epsilon)
+        self._vital_set()
         measure_min_samples(self.measure)
+
+    def _vital_set(self) -> VitalSetConfig:
+        return VitalSetConfig(self.percentile, self.epsilon)
+
+    def learn(self, store: BeliefStore, traces: Sequence[Trace]) -> list[UtilityEstimate]:
+        """Score the batch, then update `store` in place; returns the estimates applied.
+
+        An estimate from fewer observations than the measure needs (a single
+        observation carries no spread) is withheld, so its identity is left
+        untouched as if absent instead of being pushed toward zero utility.
+        """
+        floor = measure_min_samples(self.measure)
+        estimates = [e for e in compute_batch_utilities(traces, self.measure) if e.sample_count >= floor]
+        update_epoch(store, estimates)
+        return estimates
+
+    def plan(self, store: BeliefStore) -> SamplingPolicy:
+        """The next sampling policy for `store`'s beliefs."""
+        return build_policy(store, self._vital_set())
 
 
 @dataclass(frozen=True)
@@ -624,8 +644,8 @@ def run_closed_loop(
         )
 
         t0 = time.perf_counter()
-        learn_batch(store, traces, controller.measure)
-        policy = build_policy(store, VitalSetConfig(controller.percentile, controller.epsilon))
+        controller.learn(store, traces)
+        policy = controller.plan(store)
         inference_ms = (time.perf_counter() - t0) * 1000.0
 
         ranked = report(policy, store)

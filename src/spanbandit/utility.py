@@ -119,10 +119,11 @@ def compute_batch_utilities(
     A batch whose maximum raw score is 0 (constant latencies everywhere)
     normalizes to all zeros rather than dividing by zero.
     """
-    return _score_pools(pool_self_segments(traces), measure)
+    return score_pools(pool_self_segments(traces), measure)
 
 
-def _score_pools(pools: dict[SpanIdentity, np.ndarray], measure: str) -> list[UtilityEstimate]:
+def score_pools(pools: dict[SpanIdentity, np.ndarray], measure: str) -> list[UtilityEstimate]:
+    """Score each identity's pooled observations, normalized as `compute_batch_utilities` does."""
     if measure not in _MEASURES:
         raise UnknownMeasure(measure)
     if not pools:  # every trace holds a span, so only an empty batch pools nothing
@@ -171,7 +172,7 @@ def measure_comparison(
     pools = pool_self_segments(traces)
     rows = []
     for name in measures:
-        estimates = _score_pools(pools, name)
+        estimates = score_pools(pools, name)
         if fault_identity not in pools:
             raise UnknownIdentity(fault_identity.label())
         ranked = sorted(estimates, key=lambda e: (-e.raw, e.identity))

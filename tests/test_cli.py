@@ -8,12 +8,15 @@ from pathlib import Path
 import pytest
 
 from spanbandit import (
+    BeliefStore,
     CanaryAnomaly,
     ContentionAnomaly,
+    ControllerConfig,
     RandomDelayAnomaly,
     SpanIdentity,
     WorkloadSpec,
     get_preset,
+    read_traces_jsonl,
     save_spec,
 )
 from spanbandit.cli import main
@@ -564,3 +567,98 @@ def test_experiment_accepts_threshold_one_and_within_one(monkeypatch):
     monkeypatch.setattr("spanbandit.cli.run_experiment", _refuse_to_run)
     with pytest.raises(_Ran):
         main(["experiment", "--seeds", "0", "--threshold", "1", "--within", "1"])
+
+
+# (flags, named): a bad knob fails before learn reads --in or writes --state,
+# with or without --policy-out.
+BAD_LEARN_KNOBS = [
+    (["--percentile", "500", "--policy-out", "p.json"], "percentile"),
+    (["--epsilon", "7"], "epsilon"),
+    (["--measure", "nosuch"], "measure"),
+    (["--lambda", "7"], "lambda"),
+]
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["fresh-state", "existing-state"])
+@pytest.mark.parametrize("flags, named", BAD_LEARN_KNOBS)
+def test_learn_checks_every_knob_before_reading_input(tmp_path, capsys, monkeypatch, flags, named, existing):
+    state = tmp_path / "state.json"
+    if existing:
+        assert main(["learn", "--in", str(_simulate(tmp_path)), "--state", str(state)]) == 0
+        before = state.read_bytes()
+    capsys.readouterr()
+
+    def never(*args, **kwargs):
+        raise AssertionError("learn read its input before its knobs were checked")
+
+    monkeypatch.setattr("spanbandit.cli.read_traces_jsonl", never)
+    monkeypatch.chdir(tmp_path)
+    rc = main(["learn", "--in", "t.jsonl", "--state", str(state), *flags])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    err = json.loads(captured.err)
+    assert named in (err["error"] + err["message"]).lower()
+    assert (state.read_bytes() == before) if existing else not state.exists()
+    assert not (tmp_path / "p.json").exists()
+
+
+@pytest.mark.parametrize("with_policy", [True, False], ids=["with-policy", "replan"])
+@pytest.mark.parametrize("flags, named", [(["--percentile", "500"], "percentile"), (["--epsilon", "7"], "epsilon")])
+def test_report_checks_planner_flags_even_with_a_policy(tmp_path, capsys, flags, named, with_policy):
+    state, policy = tmp_path / "state.json", tmp_path / "policy.json"
+    assert main(["learn", "--in", str(_simulate(tmp_path)), "--state", str(state),
+                 "--policy-out", str(policy)]) == 0
+    capsys.readouterr()
+    argv = ["report", "--state", str(state), *flags]
+    rc = main(argv + (["--policy", str(policy)] if with_policy else []))
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "InvalidPolicy" and named in err["message"]
+
+
+@pytest.mark.parametrize("value", ["500", "0", "nan"])
+def test_compare_baselines_checks_percentile_before_any_contender(monkeypatch, capsys, value):
+    for contender in ("me_run", "ege_run", "abs_run"):
+        monkeypatch.setattr(f"spanbandit.baselines.{contender}", _refuse_to_run)
+    rc = main(["compare-baselines", "--arms", "4", "--budget", "100", "--percentile", value])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "InvalidPolicy" and "percentile" in err["message"]
+
+
+def _batch_with_one_lone_identity(path):
+    """Five api -> db traces; cache/get appears in the first trace only."""
+    spans = []
+    for t in range(5):
+        spans.append({"traceId": f"t{t}", "spanId": "root", "service": "api", "operation": "get",
+                      "startUs": 0, "durationUs": 1000 + 130 * t * t})
+        spans.append({"traceId": f"t{t}", "spanId": "db", "parentId": "root", "service": "db",
+                      "operation": "query", "startUs": 100, "durationUs": 300 + 70 * t})
+    spans.append({"traceId": "t0", "spanId": "cache", "parentId": "root", "service": "cache",
+                  "operation": "get", "startUs": 500, "durationUs": 200})
+    path.write_text("".join(json.dumps(s) + "\n" for s in spans))
+
+
+@pytest.mark.parametrize("measure, lone_updated", [("variance", False), ("mean", True)])
+def test_learn_withholds_thin_estimates(tmp_path, capsys, measure, lone_updated):
+    batch, state, out = tmp_path / "batch.jsonl", tmp_path / "state.json", tmp_path / "out.json"
+    _batch_with_one_lone_identity(batch)
+    state.write_text(json.dumps({"epoch": 3, "lambda": 0.3, "mode": "verbatim_ewma", "beliefs": [
+        {"service": "cache", "operation": "get", "url": "", "alpha": 2.0, "beta": 3.0}]}))
+    rc = main(["learn", "--in", str(batch), "--state", str(state), "--state-out", str(out),
+               "--measure", measure])
+    assert rc == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["identitiesTracked"] == 3
+    assert summary["identitiesUpdated"] == (3 if lone_updated else 2)
+    beliefs = {(b["service"], b["operation"]): (b["alpha"], b["beta"])
+               for b in json.loads(out.read_text())["beliefs"]}
+    assert (beliefs[("cache", "get")] != (2.0, 3.0)) == lone_updated
+    assert beliefs[("api", "get")] != (1.0, 1.0) and beliefs[("db", "query")] != (1.0, 1.0)
+    # The same rule on the library's epoch step: the estimates applied are the ones returned.
+    store = BeliefStore()
+    applied = ControllerConfig(measure=measure).learn(store, read_traces_jsonl(str(batch)))
+    assert {e.identity.service for e in applied} == ({"api", "db", "cache"} if lone_updated else {"api", "db"})
+    assert set(store.beliefs) == {e.identity for e in applied}
