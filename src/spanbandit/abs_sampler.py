@@ -241,8 +241,6 @@ def _others_at_least(p: np.ndarray, m: int) -> np.ndarray:
     """
     mean_count = p.sum(axis=0)
     undecided = _undecided_bins(mean_count, p.shape[0], m)
-    if undecided.all():
-        return _divided_out(p, m)
     tails = np.broadcast_to(mean_count > m, p.shape).astype(float)
     if undecided.any():
         tails[:, undecided] = _divided_out(p[:, undecided], m)

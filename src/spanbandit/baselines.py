@@ -53,7 +53,7 @@ class ComparisonConfig:
         # A zero cap samples nothing and ranks arms on NaN means; the skewed
         # layout needs one high arm and one decoy.
         least = {"num_arms": 2 if self.env_kind == "skewed" else 1,
-                 "budget": 1, "ege_quota_cap": 1, "ege_me_cap": 1}
+                 "budget": 1, "ege_quota_cap": 1, "ege_me_cap": 1, "seed": 0}
         for name, floor in least.items():
             value = getattr(self, name)
             if value < floor:

@@ -48,7 +48,11 @@ def _resolve_seed(args, fallback: int = 0) -> int:
     if getattr(args, "seed", None) is not None:
         return args.seed
     raw = os.environ.get("SPANBANDIT_SEED")
-    return int(raw) if raw else fallback
+    if not raw:
+        return fallback
+    if not raw.strip().isdecimal():
+        raise ValueError(f"SPANBANDIT_SEED must be a non-negative integer, got {raw!r}")
+    return int(raw)
 
 
 def _print_json(obj) -> None:
@@ -144,12 +148,11 @@ def _cmd_learn(args) -> int:
     )
     traces = read_traces_jsonl(args.input, lenient=args.lenient)
     estimates = controller.learn(store, traces)
+    # Plan before either write, so that a planning error leaves both files as they were.
+    policy = controller.plan(store) if args.policy_out else None
     save_store(store, args.state_out or args.state)
-    policy_entries = None
-    if args.policy_out:
-        policy = controller.plan(store)
+    if policy is not None:
         save_policy(policy, args.policy_out)
-        policy_entries = len(policy.entries)
     _print_json(
         {
             "command": "learn",
@@ -159,7 +162,7 @@ def _cmd_learn(args) -> int:
             "epoch": store.epoch,
             "state": args.state_out or args.state,
             "policyOut": args.policy_out,
-            "policyEntries": policy_entries,
+            "policyEntries": None if policy is None else len(policy.entries),
             "version": VERSION,
         }
     )
@@ -186,9 +189,15 @@ def _cmd_experiment(args) -> int:
         raise ValueError(f"--threshold must lie in (0, 1], got {args.threshold}")
     if args.within < 1:
         raise ValueError(f"--within must be at least 1, got {args.within}")
+    if args.values and not args.sweep:
+        raise ValueError("--values needs --sweep")
+    try:
+        seeds = tuple(int(s) for s in args.seeds.split(",") if s != "")
+    except ValueError:
+        raise ValueError(f"--seeds must be a comma list of integers, got {args.seeds!r}") from None
     # Every RunConfig field but the seed list has a flag of the same dest.
     config = RunConfig(
-        seeds=tuple(int(s) for s in args.seeds.split(",") if s != ""),
+        seeds=seeds,
         **{f.name: getattr(args, f.name) for f in fields(RunConfig) if f.name != "seeds"},
     )
     if args.sweep:
@@ -208,11 +217,13 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_tags(args) -> int:
+    if bool(args.service) != bool(args.operation):
+        raise ValueError("--service and --operation must be given together")
+    if args.url and not args.service:
+        raise ValueError("--url needs --service and --operation")
     traces = read_traces_jsonl(args.input, lenient=args.lenient)
-    if args.service or args.operation:
-        if not (args.service and args.operation):
-            raise ValueError("--service and --operation must be given together")
-        matrix = build_tag_matrix(traces, SpanIdentity(args.service, args.operation, args.url or ""))
+    if args.service:
+        matrix = build_tag_matrix(traces, SpanIdentity(args.service, args.operation, args.url))
     else:
         best = strongest_tag(traces, target=args.target)
         if best is None:

@@ -1,4 +1,8 @@
-"""Command line behavior, run in process through main(argv)."""
+"""Command line behavior, run in process through main(argv).
+
+CI also runs this module against a numpy-only install of the package,
+so it imports neither scipy nor hypothesis.
+"""
 import json
 import os
 import subprocess
@@ -22,20 +26,28 @@ from spanbandit import (
 from spanbandit.cli import main
 
 
-def _simulate(tmp_path, name="traces.jsonl", extra=()):
+def _simulate(tmp_path, name="traces.jsonl", extra=(), preset="media", requests=40):
     out = tmp_path / name
     rc = main(
         [
             "simulate",
-            "--preset", "media",
+            "--preset", preset,
             "--out", str(out),
-            "--requests", "40",
+            "--requests", str(requests),
             "--seed", "3",
             *extra,
         ]
     )
     assert rc == 0
     return out
+
+
+def _strict_json(text):
+    """json.loads that fails on the NaN and Infinity that json.dumps can print."""
+    def reject(constant):
+        raise AssertionError(f"tags --json printed {constant}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def test_simulate_writes_jsonl_and_summary(tmp_path, capsys):
@@ -152,11 +164,8 @@ def test_tags_json_is_strict_json_with_a_nan_tag_value(tmp_path, capsys):
     ]
     path.write_text("".join(json.dumps(line) + "\n" for line in lines))
 
-    def reject(constant):
-        raise AssertionError(f"tags --json printed {constant}")
-
     assert main(["tags", "--in", str(path), "--json"]) == 0
-    payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+    payload = _strict_json(capsys.readouterr().out)
     assert [row["key"] for row in payload["correlations"]] == ["ver", "shard"]
 
 
@@ -189,6 +198,10 @@ def test_tags_json_output(tmp_path, capsys):
     assert payload["target"] == "e2e"
     keys = [row["key"] for row in payload["correlations"]]
     assert "service.version" in keys
+
+    # The strongest tag over every identity: strict JSON too.
+    assert main(["tags", "--in", str(out), "--json"]) == 0
+    assert _strict_json(capsys.readouterr().out)["correlations"]
 
 
 def test_tags_requires_service_and_operation_together(tmp_path, capsys):
@@ -273,9 +286,15 @@ def test_version_flag(capsys):
         (["compare-baselines", "--ege-cap", "-3"], "ege_quota_cap"),
         (["compare-baselines", "--ege-me-cap", "0"], "ege_me_cap"),
         (["compare-baselines", "--arms", "1"], "num_arms"),
+        (["compare-baselines", "--seed", "-1"], "seed"),
+        (["SPANBANDIT_SEED=abc", "compare-baselines"], "SPANBANDIT_SEED"),
+        (["SPANBANDIT_SEED=-1", "compare-baselines"], "SPANBANDIT_SEED"),
     ],
 )
-def test_out_of_range_flag_reports_json_error(argv, field, capsys):
+def test_out_of_range_flag_reports_json_error(argv, field, capsys, monkeypatch):
+    if "=" in argv[0]:  # a leading NAME=value sets that environment variable, as in a shell
+        monkeypatch.setenv(*argv[0].split("=", 1))
+        argv = argv[1:]
     rc = main(argv)
     err = json.loads(capsys.readouterr().err)
     assert rc == 2
@@ -293,6 +312,8 @@ def test_out_of_range_flag_reports_json_error(argv, field, capsys):
         (["--sweep", "epsilon", "--values", "0.1,1.5"], "epsilon"),
         (["--sweep", "request_sampling_rate", "--values", "0.5,1.5"], "request_sampling_rate"),
         (["--seeds", "0,-1"], "rngSeed"),
+        (["--seeds", "1.5"], "--seeds"),
+        (["--values", "0.1"], "--sweep"),
     ],
 )
 def test_experiment_rejects_bad_settings_before_any_run(monkeypatch, capsys, argv, named):
@@ -502,11 +523,8 @@ def test_tags_json_is_strict_json_with_huge_and_constant_float_tags(tmp_path, ca
     ]
     path.write_text("".join(json.dumps(line) + "\n" for line in lines))
 
-    def reject(constant):
-        raise AssertionError(f"tags --json printed {constant}")
-
     assert main(["tags", "--in", str(path), "--json"]) == 0
-    payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+    payload = _strict_json(capsys.readouterr().out)
     rows = {row["key"]: row for row in payload["correlations"]}
     assert rows["huge"]["degenerate"] is False
     assert rows["w"]["degenerate"] is True
@@ -662,3 +680,90 @@ def test_learn_withholds_thin_estimates(tmp_path, capsys, measure, lone_updated)
     applied = ControllerConfig(measure=measure).learn(store, read_traces_jsonl(str(batch)))
     assert {e.identity.service for e in applied} == ({"api", "db", "cache"} if lone_updated else {"api", "db"})
     assert set(store.beliefs) == {e.identity for e in applied}
+
+
+def test_learn_on_children_first_lines_equals_learn_in_order(tmp_path, capsys):
+    # Each trace's lines reversed, the traces kept in order: every child
+    # arrives before its parent.
+    src = _simulate(tmp_path, preset="social", requests=200)
+    groups = {}
+    for line in src.read_text().splitlines(keepends=True):
+        groups.setdefault(json.loads(line)["traceId"], []).append(line)
+    reversed_src = tmp_path / "reversed.jsonl"
+    reversed_src.write_text("".join(line for lines in groups.values() for line in reversed(lines)))
+    in_order, children_first = tmp_path / "state.json", tmp_path / "reversed-state.json"
+    assert main(["learn", "--in", str(src), "--state", str(in_order)]) == 0
+    assert main(["learn", "--in", str(reversed_src), "--state", str(children_first)]) == 0
+    assert children_first.read_bytes() == in_order.read_bytes()
+
+
+def test_decompose_of_a_holed_file_needs_lenient(tmp_path, capsys):
+    # Line 2 is the first trace's first child, a parent itself: without it
+    # its children are orphans, which only --lenient accepts.
+    lines = _simulate(tmp_path, preset="social", requests=200).read_text().splitlines(keepends=True)
+    holed = tmp_path / "holed.jsonl"
+    holed.write_text("".join(lines[:1] + lines[2:]))
+    capsys.readouterr()
+    rc = main(["decompose", "--in", str(holed), "--out", str(tmp_path / "strict.csv")])
+    captured = capsys.readouterr()
+    assert rc == 2 and json.loads(captured.err)["error"] == "OrphanSpan"
+    assert main(["decompose", "--lenient", "--in", str(holed), "--out", str(tmp_path / "holed.csv")]) == 0
+
+
+def test_learn_names_the_line_of_a_list_url(tmp_path, capsys):
+    # A list url is no identity and no dict key.
+    lines = _simulate(tmp_path, preset="social", requests=200).read_text().splitlines(keepends=True)
+    obj = json.loads(lines[1])
+    obj["url"] = ["u"]
+    lines[1] = json.dumps(obj) + "\n"
+    bad = tmp_path / "listurl.jsonl"
+    bad.write_text("".join(lines))
+    capsys.readouterr()
+    state = tmp_path / "state.json"
+    rc = main(["learn", "--in", str(bad), "--state", str(state)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "TraceFormatError" and "line 2" in err["message"]
+    assert not state.exists()
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["fresh-state", "existing-state"])
+def test_learn_plans_before_it_writes_either_file(tmp_path, capsys, existing):
+    # One trace: every estimate is thin under variance, so nothing is
+    # learned and the store stays empty, which cannot be planned.
+    src = _simulate(tmp_path, preset="social", requests=1)
+    state, policy = tmp_path / "state.json", tmp_path / "policy.json"
+    argv = ["learn", "--in", str(src), "--state", str(state), "--measure", "variance"]
+    if existing:
+        assert main(argv) == 0
+        assert json.loads(state.read_text())["beliefs"] == []
+        before = state.read_bytes()
+    capsys.readouterr()
+    rc = main(argv + ["--policy-out", str(policy)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert json.loads(captured.err)["error"] == "EmptyStore"
+    assert (state.read_bytes() == before) if existing else not state.exists()
+    assert not policy.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--url", "/x"], "--url"),
+        (["--service", "video"], "--service and --operation"),
+        (["--operation", "list"], "--service and --operation"),
+    ],
+    ids=["url-alone", "service-alone", "operation-alone"],
+)
+def test_tags_rejects_a_flag_it_would_ignore_before_reading_input(tmp_path, capsys, monkeypatch, flags, named):
+    def never(*args, **kwargs):
+        raise AssertionError("tags read its input before its flags were checked")
+
+    monkeypatch.setattr("spanbandit.cli.read_traces_jsonl", never)
+    rc = main(["tags", "--in", str(tmp_path / "t.jsonl"), *flags])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "ValueError" and named in err["message"]

@@ -23,6 +23,7 @@ import pytest
 
 from spanbandit import tag_analysis, utility
 from spanbandit.abs_sampler import VitalSetConfig, build_policy, policy_to_json_dict
+from spanbandit.belief import BeliefStore, BetaBelief
 from spanbandit.cli import main
 from spanbandit.experiment import RunConfig, run_one, synthetic_store
 from spanbandit.presets import get_preset
@@ -71,20 +72,31 @@ GOLDEN = {
     "truth-social": "e373a97fb3035288d2e4baa274b3644921f0d547da2713848c77d49e1ee721a2",
 }
 
-# Policies planned straight from synthetic stores: the benchmark's shape,
-# the row maximum (P = 100), an interpolated median, and a single
-# identity. The case names keep the row counts of the sampling planner
-# they were first taken with, so that test ids stay stable.
+
+def _all_bins_open_store(n: int) -> BeliefStore:
+    """n U-shaped beliefs near Beta(0.05, 0.05): no grid bin is settled."""
+    return BeliefStore(epoch=1, beliefs={
+        SpanIdentity(f"svc-{i}", "op"): BetaBelief(alpha=0.05 * (1 + 0.1 * i), beta=0.05) for i in range(n)
+    })
+
+
+# Policies planned straight from stores: the benchmark's shape, the row
+# maximum (P = 100), an interpolated median, a single identity, and a
+# store whose every bin builds the count pmf. The synthetic cases' names
+# keep the row counts of the sampling planner they were first taken
+# with, so that test ids stay stable.
 PLANNER_CASES = {
-    "plan-564x10000-p75": ((564, 0), dict()),
-    "plan-7x999-p100": ((7, 1), dict(percentile_p=100.0)),
-    "plan-12x3-p50": ((12, 4), dict(percentile_p=50.0)),
-    "plan-1x1000": ((1, 0), dict()),
+    "plan-564x10000-p75": (lambda: synthetic_store(564, 0), dict()),
+    "plan-7x999-p100": (lambda: synthetic_store(7, 1), dict(percentile_p=100.0)),
+    "plan-12x3-p50": (lambda: synthetic_store(12, 4), dict(percentile_p=50.0)),
+    "plan-1x1000": (lambda: synthetic_store(1, 0), dict()),
+    "plan-3-all-bins-open-p75": (lambda: _all_bins_open_store(3), dict(percentile_p=75.0)),
 }
 
 PLANNER_GOLDEN = {
     "plan-12x3-p50": "f39ca260e2d287db19bade60cef1b9bd1d288b9da998d795ccc78505ed228e60",
     "plan-1x1000": "b8dc169d89228d3c6ee2a267ec0b6c14cba169f0278ec3f6e197e72de99fb69f",
+    "plan-3-all-bins-open-p75": "7af258fc100eda39397a1b7c455ad2b37a6b7ef52e731e2971ca518d31daba70",
     "plan-564x10000-p75": "13c537dc17cf3d3a3f748c96e29329b6f931fc590a642293c062e55820a5380c",
     "plan-7x999-p100": "2ff5a579c86f2850b482c871a9ae8d885627f45234ffa00abdaeaf23f05e5b53",
 }
@@ -268,6 +280,6 @@ def test_golden_output(digests, case):
 
 @pytest.mark.parametrize("case", sorted(PLANNER_CASES))
 def test_golden_policy(case):
-    store_args, knobs = PLANNER_CASES[case]
-    policy = build_policy(synthetic_store(*store_args), VitalSetConfig(**knobs))
+    make_store, knobs = PLANNER_CASES[case]
+    policy = build_policy(make_store(), VitalSetConfig(**knobs))
     assert _sha_json(policy_to_json_dict(policy)) == PLANNER_GOLDEN[case]
