@@ -108,20 +108,15 @@ from .trace_model import (
     decompose,
     read_traces_jsonl,
     span_from_json,
-    span_to_json,
     write_traces_jsonl,
 )
 from .utility import (
     EmptyBatch,
-    UnknownIdentity,
     UnknownMeasure,
     UtilityEstimate,
-    available_measures,
     compute_batch_utilities,
-    measure_comparison,
     measure_min_samples,
     pool_self_segments,
-    register_measure,
 )
 from .version import VERSION
 

@@ -50,8 +50,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .belief import BeliefStore, json_integer, json_number, posterior_variance, write_json
-from .trace_model import SpanIdentity, identity_from_json, identity_to_json
+from .belief import (
+    BeliefStore,
+    identity_rows,
+    json_integer,
+    json_number,
+    json_object,
+    posterior_variance,
+    write_json,
+)
+from .trace_model import SpanIdentity, identity_to_json
 
 GRID_BINS = 64
 TAIL_NODES = 12
@@ -338,9 +346,9 @@ def policy_to_json_dict(policy: SamplingPolicy) -> dict:
 
 
 def policy_from_json_dict(obj: dict) -> SamplingPolicy:
+    obj = json_object(obj, "a policy file", InvalidPolicy)
     entries, vital = {}, {}
-    for row in obj["entries"]:
-        identity = identity_from_json(row)
+    for identity, row in identity_rows(obj, "entries", InvalidPolicy).items():
         entries[identity] = row["probability"]
         vital[identity] = row["vitalProbability"]
     return SamplingPolicy(obj["epoch"], obj["epsilon"], obj["percentile"], entries, vital)
@@ -373,9 +381,6 @@ class ReportRow:
 class VitalityReport:
     rows: list[ReportRow]
     ambiguous: bool
-
-    def top(self, k: int) -> list[ReportRow]:
-        return self.rows[:k]
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -410,6 +415,9 @@ class VitalityReport:
 def report(policy: SamplingPolicy, store: BeliefStore) -> VitalityReport:
     """Rank identities by vital probability (desc), posterior mean, identity.
 
+    Every identity of the policy must hold a belief in the store, else
+    InvalidPolicy names it; the store may hold identities the policy
+    lacks, as a state is often newer than its policy.
     When every identity holds the identical belief, a policy planned from
     them gives every identity the same vital probability (to the bit) and
     mean, so the ranking falls back to identity order, carries no
@@ -417,31 +425,22 @@ def report(policy: SamplingPolicy, store: BeliefStore) -> VitalityReport:
     Elimination (vital < epsilon) is advisory: flagged identities stay in
     the policy at the epsilon floor, never removed.
     """
-    params = {
-        identity: (store.beliefs[identity].alpha, store.beliefs[identity].beta)
-        for identity in policy.entries
-        if identity in store.beliefs
-    }
-    ambiguous = len(set(params.values())) <= 1 and len(policy.entries) > 1
-
-    def sort_key(identity: SpanIdentity):
-        b = store.beliefs.get(identity)
-        mean = b.mean if b else 0.0
-        return (-policy.vital.get(identity, 0.0), -mean, identity)
-
-    ordered = sorted(policy.entries, key=sort_key)
-    rows = []
-    for rank, identity in enumerate(ordered, start=1):
-        b = store.beliefs.get(identity)
-        rows.append(
-            ReportRow(
-                rank=rank,
-                identity=identity,
-                vital_probability=policy.vital.get(identity, 0.0),
-                probability=policy.entries[identity],
-                posterior_mean=b.mean if b else 0.5,
-                posterior_variance=posterior_variance(b) if b else 1.0 / 12.0,
-                eliminated=policy.eliminated(identity),
-            )
+    for identity in policy.entries:
+        if identity not in store.beliefs:
+            raise InvalidPolicy(f"{identity.label()} is in the policy but not in the state")
+    beliefs = {identity: store.beliefs[identity] for identity in policy.entries}
+    ambiguous = len({(b.alpha, b.beta) for b in beliefs.values()}) <= 1 and len(beliefs) > 1
+    ordered = sorted(beliefs, key=lambda i: (-policy.vital.get(i, 0.0), -beliefs[i].mean, i))
+    rows = [
+        ReportRow(
+            rank=rank,
+            identity=identity,
+            vital_probability=policy.vital.get(identity, 0.0),
+            probability=policy.entries[identity],
+            posterior_mean=beliefs[identity].mean,
+            posterior_variance=posterior_variance(beliefs[identity]),
+            eliminated=policy.eliminated(identity),
         )
+        for rank, identity in enumerate(ordered, start=1)
+    ]
     return VitalityReport(rows=rows, ambiguous=ambiguous)

@@ -63,6 +63,33 @@ def json_number(value, name: str, error: type[ValueError]) -> float:
     return float(value)
 
 
+def json_object(value, name: str, error: type[ValueError]) -> dict:
+    """`value` itself; raises `error` naming `name` when it is not a JSON object."""
+    if not isinstance(value, dict):
+        raise error(f"{name} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def json_list(value, name: str, error: type[ValueError]) -> list:
+    """`value` itself; raises `error` naming `name` when it is not a JSON list."""
+    if not isinstance(value, list):
+        raise error(f"{name} must be a JSON list, got {type(value).__name__}")
+    return value
+
+
+def identity_rows(obj: dict, key: str, error: type[ValueError]) -> dict[SpanIdentity, dict]:
+    """The objects listed under `key`, each by the identity it names, in
+    file order; raises `error` naming `key` for a row that is not an
+    object, and naming the identity for one listed twice."""
+    rows: dict[SpanIdentity, dict] = {}
+    for row in json_list(obj[key], key, error):
+        identity = identity_from_json(json_object(row, f"a row of {key}", error))
+        if identity in rows:
+            raise error(f"{identity.label()} is listed twice in {key}")
+        rows[identity] = row
+    return rows
+
+
 @dataclass
 class BetaBelief:
     alpha: float = 1.0
@@ -174,9 +201,10 @@ def store_to_json_dict(store: BeliefStore) -> dict:
 
 
 def store_from_json_dict(obj: dict) -> BeliefStore:
+    obj = json_object(obj, "a state file", InvalidBelief)
     store = BeliefStore(lam=obj["lambda"], mode=obj["mode"], epoch=obj["epoch"])
-    for row in obj["beliefs"]:
-        store.beliefs[identity_from_json(row)] = BetaBelief(row["alpha"], row["beta"])
+    for identity, row in identity_rows(obj, "beliefs", InvalidBelief).items():
+        store.beliefs[identity] = BetaBelief(row["alpha"], row["beta"])
     return store
 
 

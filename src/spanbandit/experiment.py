@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .belief import BeliefStore, BetaBelief, json_integer
+from .belief import BeliefStore, BetaBelief
 from .presets import get_preset
 from .simulator import (
     ControllerConfig,
@@ -65,13 +65,6 @@ class RunConfig(ControllerConfig):
         d["seeds"] = list(self.seeds)
         d["version"] = VERSION
         return d
-
-    @staticmethod
-    def from_json_dict(obj: dict) -> "RunConfig":
-        kwargs = {k: v for k, v in obj.items() if k in RunConfig.__dataclass_fields__}
-        if "seeds" in kwargs:
-            kwargs["seeds"] = tuple(json_integer(s, "seeds", ValueError) for s in kwargs["seeds"])
-        return RunConfig(**kwargs)
 
 
 def run_one(config: RunConfig, seed: int) -> RunResult:

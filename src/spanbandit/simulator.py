@@ -32,7 +32,7 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 from .abs_sampler import SamplingPolicy, VitalSetConfig, build_policy, report
-from .belief import BeliefStore, json_integer, json_number, update_epoch, write_json
+from .belief import BeliefStore, json_integer, json_list, json_number, json_object, update_epoch, write_json
 from .trace_model import (
     SPAN_TIME_LIMIT_US,
     SpanIdentity,
@@ -324,9 +324,6 @@ class GroundTruth:
 
     faulty: tuple[SpanIdentity, ...]
     activations: dict[str, list[int]] = field(default_factory=dict)
-
-    def activation_counts(self) -> dict[str, int]:
-        return {k: len(v) for k, v in self.activations.items()}
 
 
 @dataclass(frozen=True)
@@ -677,12 +674,14 @@ def run_closed_loop(
 # --- one-document spec format --------------------------------------------
 
 
-def _service_tag_from(obj: dict) -> ServiceTagSpec:
-    # tuple() of a JSON string would split it into one tag value per character.
-    values = obj["values"]
-    if not isinstance(values, list):
-        raise InvalidTopology(f"ServiceTagSpec.values must be a JSON list, got {values!r}")
-    return ServiceTagSpec(obj["service"], obj["key"], tuple(values))
+def _objects(value, key: str) -> list[dict]:
+    """`value`, read under `key`, as a JSON list of objects."""
+    values = json_list(value, key, InvalidTopology)
+    return [json_object(v, f"an entry of {key}", InvalidTopology) for v in values]
+
+
+def _identity_from(value, key: str) -> SpanIdentity:
+    return identity_from_json(json_object(value, key, InvalidTopology))
 
 
 def anomaly_to_dict(a: AnomalySpec) -> dict:
@@ -717,7 +716,7 @@ def anomaly_from_dict(obj: dict) -> AnomalySpec:
     kind = obj["kind"]
     if kind == "random_delay":
         return RandomDelayAnomaly(
-            target=identity_from_json(obj["target"]),
+            target=_identity_from(obj["target"], "target"),
             probability=obj["probability"],
             delay_mean_us=obj["delayMeanUs"],
             delay_std_us=obj["delayStdUs"],
@@ -779,26 +778,34 @@ def _workload_to_dict(workload: WorkloadSpec) -> dict:
 
 
 def spec_from_json_dict(obj: dict) -> tuple[TopologySpec, tuple[AnomalySpec, ...], WorkloadSpec]:
-    topo = obj["topology"]
+    obj = json_object(obj, "a spec file", InvalidTopology)
+    topo = json_object(obj["topology"], "topology", InvalidTopology)
     operations = tuple(
         OperationSpec(
             identity=identity_from_json(op),
             base=LatencyModel(op["muLog"], op["sigmaLog"]),
             calls=tuple(
                 CallSpec(identity_from_json(c), c.get("mode", CallSpec.mode))
-                for c in op.get("calls", [])
+                for c in _objects(op.get("calls", []), "calls")
             ),
         )
-        for op in topo["operations"]
+        for op in _objects(topo["operations"], "operations")
     )
     topology = TopologySpec(
-        root=identity_from_json(topo["root"]),
+        root=_identity_from(topo["root"], "root"),
         operations=operations,
-        service_tags=tuple(_service_tag_from(t) for t in topo.get("serviceTags", [])),
+        service_tags=tuple(
+            # tuple() of a JSON string would split it into one tag value per character.
+            ServiceTagSpec(
+                t["service"], t["key"], tuple(json_list(t["values"], "ServiceTagSpec.values", InvalidTopology))
+            )
+            for t in _objects(topo.get("serviceTags", []), "serviceTags")
+        ),
     )
-    anomalies = tuple(anomaly_from_dict(a) for a in obj.get("anomalies", []))
+    anomalies = tuple(anomaly_from_dict(a) for a in _objects(obj.get("anomalies", []), "anomalies"))
     # A workload key the file leaves out reads as WorkloadSpec's default.
-    w = {**_workload_to_dict(WorkloadSpec()), **obj.get("workload", {})}
+    given = json_object(obj.get("workload", {}), "workload", InvalidTopology)
+    w = {**_workload_to_dict(WorkloadSpec()), **given}
     workload = WorkloadSpec(w["numRequests"], w["requestSamplingRate"], w["batchSize"], w["rngSeed"])
     return topology, anomalies, workload
 

@@ -13,8 +13,6 @@ records. The columns of a `Trace`:
 - `start_us`, `duration_us`: int64 arrays;
 - `tags`: row -> tags, for the spans that carry any.
 
-`preorder()`, `root` and `span(id)` build `SpanRecord`s on demand.
-
 Each span's wall-clock duration splits into time spent waiting on
 recorded children (the union of their intervals, clipped to the parent)
 and a self segment, the remainder. `self_segments_us` computes it for a
@@ -134,10 +132,6 @@ class SpanRecord:
         if not isinstance(self.tags, dict):
             raise TraceError(f"tags must be an object, got {self.tags!r}")
 
-    @property
-    def end_us(self) -> int:
-        return self.start_us + self.duration_us
-
 
 def _time_problem(key: str, value) -> str:
     if type(value) is int and value >= 0:  # a bool is no int here
@@ -173,31 +167,6 @@ class Trace:
 
     def __len__(self) -> int:
         return len(self.span_ids)
-
-    @property
-    def root_id(self) -> str:
-        return self.span_ids[0]
-
-    @property
-    def root(self) -> SpanRecord:
-        return self._record(0)
-
-    def span(self, span_id: str) -> SpanRecord:
-        try:
-            return self._record(self.span_ids.index(span_id))
-        except ValueError:
-            raise KeyError(span_id) from None
-
-    def preorder(self) -> list[SpanRecord]:
-        return [self._record(row) for row in range(len(self))]
-
-    def _record(self, row: int) -> SpanRecord:
-        parent = int(self.parent[row])
-        return SpanRecord(
-            self.trace_id, self.span_ids[row], self.span_ids[parent] if parent >= 0 else None,
-            self.identities[row], int(self.start_us[row]), int(self.duration_us[row]),
-            dict(self.tags.get(row, {})),
-        )
 
     def end_to_end_latency_us(self) -> int:
         return int(self.duration_us[0])
@@ -428,11 +397,6 @@ def _span_line(trace_id, span_id, parent_id, identity, start_us, duration_us, ta
     obj["durationUs"] = duration_us
     obj["tags"] = dict(sorted(tags.items())) if tags else {}
     return _encode(obj)
-
-
-def span_to_json(rec: SpanRecord) -> str:
-    return _span_line(rec.trace_id, rec.span_id, rec.parent_id, rec.identity,
-                      rec.start_us, rec.duration_us, rec.tags)
 
 
 def span_from_json(

@@ -20,10 +20,6 @@ class UnknownMeasure(KeyError):
     pass
 
 
-class UnknownIdentity(KeyError):
-    pass
-
-
 class EmptyBatch(ValueError):
     pass
 
@@ -60,16 +56,6 @@ _MEASURES: dict[str, _Measure] = {
     "max": _Measure(lambda x: float(np.max(x))),
     "p99": _Measure(lambda x: float(np.percentile(x, 99))),
 }
-_BUILTIN_MEASURES = tuple(_MEASURES)
-
-
-def register_measure(name: str, fn: UtilityFn, min_samples: int = 1) -> None:
-    """Register a custom measure. Spread-like measures should set min_samples=2."""
-    _MEASURES[name] = _Measure(fn, min_samples)
-
-
-def available_measures() -> list[str]:
-    return sorted(_MEASURES)
 
 
 def measure_min_samples(measure: str) -> int:
@@ -145,48 +131,3 @@ def score_pools(pools: dict[SpanIdentity, np.ndarray], measure: str) -> list[Uti
         )
         for identity in sorted(raws)
     ]
-
-
-@dataclass(frozen=True)
-class MeasureComparisonRow:
-    measure: str
-    fault_rank: int
-    top1: bool
-    top3: bool
-    top5: bool
-    ambiguous: bool
-
-
-def measure_comparison(
-    traces: Sequence[Trace],
-    fault_identity: SpanIdentity,
-    measures: Sequence[str] = _BUILTIN_MEASURES,
-) -> list[MeasureComparisonRow]:
-    """Rank a known-faulty identity under each measure, by default the built-in ones.
-
-    The batch is pooled once, and each measure scores the pools as
-    `compute_batch_utilities` does. When every identity scores the same
-    (all-constant latencies, say) the ranking carries no information: the
-    row is flagged ambiguous and no top-k hit is credited.
-    """
-    pools = pool_self_segments(traces)
-    rows = []
-    for name in measures:
-        estimates = score_pools(pools, name)
-        if fault_identity not in pools:
-            raise UnknownIdentity(fault_identity.label())
-        ranked = sorted(estimates, key=lambda e: (-e.raw, e.identity))
-        rank = next(i for i, e in enumerate(ranked, start=1) if e.identity == fault_identity)
-        raw_values = [e.raw for e in estimates]
-        ambiguous = max(raw_values) == min(raw_values)
-        rows.append(
-            MeasureComparisonRow(
-                measure=name,
-                fault_rank=rank,
-                top1=not ambiguous and rank <= 1,
-                top3=not ambiguous and rank <= 3,
-                top5=not ambiguous and rank <= 5,
-                ambiguous=ambiguous,
-            )
-        )
-    return rows

@@ -322,10 +322,27 @@ def test_report_ranks_by_vital_then_mean():
     assert [r.rank for r in rep.rows] == [1, 2, 3]
     assert rep.rows[0].identity == SpanIdentity("s01", "op")
     assert rep.rows[0].vital_probability >= rep.rows[1].vital_probability
-    assert rep.top(1) == rep.rows[:1]
     csv_text = rep.to_csv()
     assert csv_text.splitlines()[0].startswith("rank,service,operation")
     assert len(csv_text.splitlines()) == 4
+
+
+def test_report_refuses_a_policy_identity_the_store_lacks():
+    store = _store([(2, 8), (8, 2), (5, 5)])
+    policy = build_policy(store, VitalSetConfig())
+    del store.beliefs[SpanIdentity("s01", "op")]
+    with pytest.raises(InvalidPolicy, match="^s01/op is in the policy but not in the state$"):
+        report(policy, store)
+    # The store may hold identities the policy lacks; the report lists the policy's.
+    store = _store([(2, 8), (8, 2), (5, 5), (1, 1)])
+    assert sorted(r.identity for r in report(policy, store).rows) == sorted(policy.entries)
+
+
+def test_policy_file_listing_an_identity_twice_rejected():
+    obj = policy_to_json_dict(build_policy(_store([(2, 5), (5, 2)]), VitalSetConfig()))
+    obj["entries"].append({**obj["entries"][0], "probability": 0.5})
+    with pytest.raises(InvalidPolicy, match="^s00/op is listed twice in entries$"):
+        policy_from_json_dict(obj)
 
 
 def test_report_flags_identical_beliefs_as_ambiguous():

@@ -104,6 +104,26 @@ def test_store_file_with_non_string_identity_rejected(name):
         store_from_json_dict(obj)
 
 
+@pytest.mark.parametrize(
+    "change, named",
+    [
+        pytest.param(lambda obj: [obj], "^a state file must be a JSON object, got list$", id="list"),
+        pytest.param(lambda obj: {**obj, "beliefs": 5}, "^beliefs must be a JSON list, got int$",
+                     id="beliefs-number"),
+        pytest.param(lambda obj: {**obj, "beliefs": {}}, "^beliefs must be a JSON list, got dict$",
+                     id="beliefs-object"),
+        pytest.param(lambda obj: {**obj, "beliefs": ["x"]},
+                     "^a row of beliefs must be a JSON object, got str$", id="belief-string"),
+        pytest.param(lambda obj: {**obj, "beliefs": obj["beliefs"] * 2},
+                     "^svc/op is listed twice in beliefs$", id="twice"),
+    ],
+)
+def test_store_file_of_the_wrong_shape_rejected(change, named):
+    obj = store_to_json_dict(BeliefStore(beliefs={IDENT: BetaBelief(2.0, 3.0)}))
+    with pytest.raises(InvalidBelief, match=named):
+        store_from_json_dict(change(obj))
+
+
 def test_verbatim_ewma_closed_form():
     # From alpha_0 = 1 with constant utility u:
     # alpha_k = (1-lam)^k + u * (1 - (1-lam)^k), and symmetrically for beta.

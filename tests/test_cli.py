@@ -428,8 +428,8 @@ NON_INTEGER_COUNTS = [
 ]
 
 
-def _files_with_one_value_changed(tmp_path, capsys, kind, key, value):
-    """A spec, a state and a policy file, with `key` of the `kind` one set to `value`."""
+def _files_with_one_change(tmp_path, capsys, kind, change):
+    """A spec, a state and a policy file, the `kind` one's document replaced by `change(document)`."""
     traces = _simulate(tmp_path)
     spec, state, policy = tmp_path / "spec.json", tmp_path / "state.json", tmp_path / "policy.json"
     preset = get_preset("media")
@@ -438,25 +438,106 @@ def _files_with_one_value_changed(tmp_path, capsys, kind, key, value):
                  "--policy-out", str(policy)]) == 0
     capsys.readouterr()
     path = {"spec": spec, "state": state, "policy": policy}[kind]
-    doc = json.loads(path.read_text())
-    (doc["workload"] if kind == "spec" else doc)[key] = value
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(change(json.loads(path.read_text()))))
     return traces, spec, state, policy
+
+
+def _files_with_one_value_changed(tmp_path, capsys, kind, key, value):
+    """A spec, a state and a policy file, with `key` of the `kind` one set to `value`."""
+    def change(doc):
+        (doc["workload"] if kind == "spec" else doc)[key] = value
+        return doc
+
+    return _files_with_one_change(tmp_path, capsys, kind, change)
+
+
+def _main_reading(kind, tmp_path, traces, spec, state, policy):
+    """main() on the command that reads the `kind` file."""
+    return main({
+        "spec": ["simulate", "--spec", str(spec), "--out", str(tmp_path / "t.jsonl")],
+        "state": ["learn", "--in", str(traces), "--state", str(state)],
+        "policy": ["report", "--state", str(state), "--policy", str(policy)],
+    }[kind])
 
 
 @pytest.mark.parametrize("kind, key, value, error", NON_INTEGER_COUNTS)
 def test_non_integer_count_in_json_file_reports_json_error(tmp_path, capsys, kind, key, value, error):
-    traces, spec, state, policy = _files_with_one_value_changed(tmp_path, capsys, kind, key, value)
-    argv = {
-        "spec": ["simulate", "--spec", str(spec), "--out", str(tmp_path / "t.jsonl")],
-        "state": ["learn", "--in", str(traces), "--state", str(state)],
-        "policy": ["report", "--state", str(state), "--policy", str(policy)],
-    }[kind]
-    rc = main(argv)
+    files = _files_with_one_value_changed(tmp_path, capsys, kind, key, value)
+    rc = _main_reading(kind, tmp_path, *files)
     err = json.loads(capsys.readouterr().err)
     assert rc == 2
     assert err["error"] == error
     assert key in err["message"]
+
+
+def _set(value, *path):
+    """A change to a document that sets the node at `path` to `value`."""
+    def change(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        return doc
+
+    return change
+
+
+def _twice(key):
+    """A change that lists the first row under `key` again, its empty url left out."""
+    def change(doc):
+        row = {k: v for k, v in doc[key][0].items() if k != "url"}
+        doc[key].append(row)
+        return doc
+
+    return change
+
+
+# (file, change, error, text the message must name): documents of the wrong
+# shape, and one identity listed twice.
+BAD_SHAPES = [
+    pytest.param("state", lambda doc: [1, 2], "InvalidBelief", "state file", id="state-list"),
+    pytest.param("state", _set(5, "beliefs"), "InvalidBelief", "beliefs", id="state-beliefs-number"),
+    pytest.param("state", _set(["x"], "beliefs"), "InvalidBelief", "beliefs", id="state-belief-string"),
+    pytest.param("state", _set({}, "beliefs"), "InvalidBelief", "beliefs", id="state-beliefs-object"),
+    pytest.param("state", _twice("beliefs"), "InvalidBelief", "listed twice in beliefs", id="state-twice"),
+    pytest.param("policy", lambda doc: [doc], "InvalidPolicy", "policy file", id="policy-list"),
+    pytest.param("policy", _set("x", "entries"), "InvalidPolicy", "entries", id="policy-entries-string"),
+    pytest.param("policy", _twice("entries"), "InvalidPolicy", "listed twice in entries", id="policy-twice"),
+    pytest.param("spec", lambda doc: [doc], "InvalidTopology", "spec file", id="spec-list"),
+    pytest.param("spec", _set("x", "topology", "operations", 0, "calls"), "InvalidTopology", "calls",
+                 id="spec-calls-string"),
+    pytest.param("spec", _set([1], "workload"), "InvalidTopology", "workload", id="spec-workload-list"),
+]
+
+
+@pytest.mark.parametrize("kind, change, error, named", BAD_SHAPES)
+def test_json_file_of_the_wrong_shape_reports_json_error(tmp_path, capsys, kind, change, error, named):
+    files = _files_with_one_change(tmp_path, capsys, kind, change)
+    rc = _main_reading(kind, tmp_path, *files)
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == error
+    assert named in err["message"]
+
+
+def test_report_refuses_a_policy_identity_the_state_lacks(tmp_path, capsys):
+    ghost = {"service": "ghost", "operation": "log", "url": "", "probability": 1.0, "vitalProbability": 1.0}
+    _, _, state, policy = _files_with_one_change(
+        tmp_path, capsys, "policy", lambda doc: {**doc, "entries": doc["entries"] + [ghost]}
+    )
+    rc = main(["report", "--state", str(state), "--policy", str(policy)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "InvalidPolicy"
+    assert "ghost/log" in err["message"]
+    # The other way round is allowed: a state may be newer than its policy.
+    doc = json.loads(policy.read_text())
+    doc["entries"] = doc["entries"][1:-1]
+    policy.write_text(json.dumps(doc))
+    assert main(["report", "--state", str(state), "--policy", str(policy)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + len(doc["entries"])
 
 
 # (file, key, value, error): values float() would have turned into numbers.

@@ -16,6 +16,7 @@ from spanbandit import (
     OperationSpec,
     SamplingPolicy,
     SpanIdentity,
+    SpanRecord,
     TopologySpec,
     build_trace,
     decompose,
@@ -27,18 +28,23 @@ from spanbandit import (
 from spanbandit.simulator import request_rng
 
 
-def _rows(trace):
-    return [
-        (r.span_id, r.parent_id, r.identity, r.start_us, r.duration_us, r.tags)
-        for r in trace.preorder()
-    ]
+def _columns(trace):
+    return (trace.trace_id, trace.span_ids, trace.parent.tolist(), trace.identities,
+            trace.start_us.tolist(), trace.duration_us.tolist(), trace.tags)
 
 
 def _assert_equals_build_trace(trace):
-    rebuilt = build_trace(trace.span(f"s{i:04d}") for i in range(len(trace)))
-    assert (rebuilt.trace_id, rebuilt.root_id) == (trace.trace_id, trace.root_id)
-    assert len(list(trace.preorder())) == len(trace) == len(rebuilt)
-    assert _rows(trace) == _rows(rebuilt)
+    # Span ids number the spans in generation order; build_trace gets the records in that order.
+    ids, parents = trace.span_ids, trace.parent.tolist()
+    assert sorted(ids) == [f"s{i:04d}" for i in range(len(trace))]
+    assert len(parents) == len(trace.identities) == len(trace.start_us) == len(trace.duration_us) == len(ids)
+    records = [
+        SpanRecord(trace.trace_id, ids[row], ids[parent] if parent >= 0 else None, trace.identities[row],
+                   int(trace.start_us[row]), int(trace.duration_us[row]), trace.tags.get(row, {}))
+        for row, parent in enumerate(parents)
+    ]
+    rebuilt = build_trace(sorted(records, key=lambda r: r.span_id))
+    assert _columns(rebuilt) == _columns(trace)
     assert decompose(trace) == decompose(rebuilt)
     for d in decompose(trace):
         assert d.duration_us == d.child_waiting_us + d.self_segment_us
@@ -99,7 +105,7 @@ def test_generated_trace_equals_build_trace_of_its_records(
         topology, (), policy, request_rng(seed, request_index), request_index=request_index
     )
     _assert_equals_build_trace(thin)
-    assert thin.root.duration_us == full.root.duration_us
+    assert thin.end_to_end_latency_us() == full.end_to_end_latency_us()
 
 
 @pytest.mark.parametrize("name", preset_names())

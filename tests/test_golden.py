@@ -247,7 +247,7 @@ def test_mixed_spec_fires_every_anomaly(digests, golden_dir):
 
 
 def test_tag_and_measure_analysis_decompose_each_trace_once(digests, golden_dir, monkeypatch):
-    # Each analysis sweeps the batch once, not once per identity or measure:
+    # Each analysis sweeps the batch once, not once per identity:
     # every trace goes through one self-time union once.
     calls = []
 
@@ -264,13 +264,12 @@ def test_tag_and_measure_analysis_decompose_each_trace_once(digests, golden_dir,
     for name, run in (
         ("tags --json", lambda: _run(["tags", "--in", path, "--json"])),
         ("strongest_tag", lambda: tag_analysis.strongest_tag(traces)),
-        ("measure_comparison", lambda: utility.measure_comparison(
-            traces, SpanIdentity("recommend", "list"))),
+        ("compute_batch_utilities", lambda: utility.compute_batch_utilities(traces)),
     ):
         calls.clear()
         run()
         counts[name] = len(calls)
-    assert counts == {"tags --json": 500, "strongest_tag": 500, "measure_comparison": 500}
+    assert counts == {"tags --json": 500, "strongest_tag": 500, "compute_batch_utilities": 500}
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))

@@ -9,9 +9,11 @@ named error at construction, naming the field by its wire key.
 """
 import json
 import math
+import os
+import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spanbandit import (
@@ -25,13 +27,14 @@ from spanbandit import (
     SpanRecord,
     TraceError,
     WorkloadSpec,
+    build_trace,
     get_preset,
     policy_from_json_dict,
     policy_to_json_dict,
     span_from_json,
-    span_to_json,
     store_from_json_dict,
     store_to_json_dict,
+    write_traces_jsonl,
 )
 from spanbandit.belief import UPDATE_MODES
 from spanbandit.simulator import spec_from_json_dict, spec_to_json_dict
@@ -59,8 +62,16 @@ def _through_json(obj):
     tags=st.dictionaries(st.text(max_size=8), st.text(max_size=8), max_size=4),
 )
 def test_span_record_round_trips(trace_id, span_id, parent_id, identity, start_us, duration_us, tags):
-    rec = SpanRecord(trace_id, span_id, parent_id, identity, start_us, duration_us, tags)
-    assert span_from_json(span_to_json(rec)) == rec
+    # A span with a parent is written below a root span of that id.
+    records = [SpanRecord(trace_id, span_id, parent_id, identity, start_us, duration_us, tags)]
+    if parent_id is not None:
+        assume(parent_id != span_id)
+        records.insert(0, SpanRecord(trace_id, parent_id, None, ID, 0, 0, {}))
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "spans.jsonl")
+        write_traces_jsonl([build_trace(records)], path)
+        with open(path) as f:
+            assert [span_from_json(line) for line in f] == records
 
 
 @st.composite

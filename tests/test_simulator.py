@@ -279,9 +279,9 @@ def test_policy_does_not_perturb_latency_draws():
         entries={MID: 0.3, LEAF: 0.05, SIDE: 0.05, ROOT: 1.0},
     )
     thin = generate_request(topo, (), thin_policy, request_rng(11, 4), request_index=4)
-    assert thin.root.duration_us == full.root.duration_us
-    full_keys = {(r.identity, r.start_us, r.duration_us) for r in full.preorder()}
-    thin_keys = {(r.identity, r.start_us, r.duration_us) for r in thin.preorder()}
+    assert thin.end_to_end_latency_us() == full.end_to_end_latency_us()
+    full_keys = set(zip(full.identities, full.start_us.tolist(), full.duration_us.tolist()))
+    thin_keys = set(zip(thin.identities, thin.start_us.tolist(), thin.duration_us.tolist()))
     assert thin_keys <= full_keys
     assert len(thin) <= len(full)
 
@@ -294,7 +294,7 @@ def test_thinned_traces_stay_valid_and_conserve_latency():
     )
     for idx in range(300):
         t = generate_request(topo, (), policy, request_rng(29, idx), request_index=idx)
-        assert t.root.identity == ROOT
+        assert t.identities[0] == ROOT
         for d in decompose(t):
             assert d.duration_us == d.child_waiting_us + d.self_segment_us
             assert d.self_segment_us >= 0
@@ -309,7 +309,7 @@ def test_dropped_child_self_time_absorbs_into_ancestor():
     t = generate_request(topo, (), zero, request_rng(7, 0), request_index=0)
     assert len(t) == 1
     (d,) = decompose(t)
-    assert d.self_segment_us == t.root.duration_us
+    assert d.self_segment_us == t.end_to_end_latency_us()
 
 
 def test_head_sampling_rate():
@@ -348,7 +348,7 @@ def test_random_delay_ground_truth_and_activation_counts():
     assert truth.faulty == (LEAF,)
     label = f"random_delay:{LEAF.label()}"
     # probability 1.0 fires at every one of the 4 LEAF instances per request
-    assert truth.activation_counts()[label] == 4 * len(traces)
+    assert len(truth.activations[label]) == 4 * len(traces)
 
 
 def test_contention_window_and_faulty_identities():
@@ -369,14 +369,11 @@ def test_canary_routing_stamps_tags_and_slows_service():
     workload = WorkloadSpec(num_requests=40, rng_seed=41)
     canary_traces, _ = simulate_workload(topo, (always,), workload)
     stable_traces, _ = simulate_workload(topo, (never,), workload)
-    for t in canary_traces:
-        for rec in t.preorder():
-            if rec.identity.service == "db":
-                assert rec.tags["service.version"] == "canary"
-    for t in stable_traces:
-        for rec in t.preorder():
-            if rec.identity.service == "db":
-                assert rec.tags["service.version"] == "stable"
+    for traces, version in ((canary_traces, "canary"), (stable_traces, "stable")):
+        for t in traces:
+            for row, identity in enumerate(t.identities):
+                if identity.service == "db":
+                    assert t.tags[row]["service.version"] == version
 
     def mean_leaf_self(traces):
         vals = [
@@ -397,11 +394,11 @@ def test_two_canaries_on_one_service_route_apart():
         CanaryAnomaly("recommend", 0.0, tag_key="k2"),
     )
     traces, truth = simulate_workload(preset.topology, canaries, WorkloadSpec(num_requests=200))
-    spans = [r for t in traces for r in t.preorder() if r.identity.service == "recommend"]
-    assert len(traces) == 200 and spans
+    tags = [t.tags[row] for t in traces for row, i in enumerate(t.identities) if i.service == "recommend"]
+    assert len(traces) == 200 and tags
     # Only the first canary routes, so it fires once per span of the service.
-    assert truth.activation_counts() == {"canary:recommend": len(spans)}
-    assert {(r.tags["k1"], r.tags["k2"]) for r in spans} == {("canary", "stable")}
+    assert {k: len(v) for k, v in truth.activations.items()} == {"canary:recommend": len(tags)}
+    assert {(t["k1"], t["k2"]) for t in tags} == {("canary", "stable")}
 
 
 def test_repeated_anomaly_labels_get_positional_suffixes():
@@ -474,10 +471,7 @@ def test_spec_file_round_trip(tmp_path):
     # Identical generation from the reloaded document.
     t1 = generate_request(preset.topology, preset.anomalies, None, request_rng(5, 1), request_index=1)
     t2 = generate_request(topo, anomalies, None, request_rng(5, 1), request_index=1)
-    assert [
-        (r.identity, r.start_us, r.duration_us, tuple(sorted(r.tags.items())))
-        for r in t1.preorder()
-    ] == [
-        (r.identity, r.start_us, r.duration_us, tuple(sorted(r.tags.items())))
-        for r in t2.preorder()
-    ]
+    assert t1.identities == t2.identities
+    assert t1.start_us.tolist() == t2.start_us.tolist()
+    assert t1.duration_us.tolist() == t2.duration_us.tolist()
+    assert t1.tags == t2.tags

@@ -22,7 +22,6 @@ from spanbandit import (
     decompose,
     read_traces_jsonl,
     span_from_json,
-    span_to_json,
     write_traces_jsonl,
 )
 from spanbandit.utility import pool_self_segments
@@ -41,6 +40,12 @@ def _span(span_id, parent_id, start, dur, identity=DB, trace_id="t1", tags=None)
         duration_us=dur,
         tags=tags or {},
     )
+
+
+def _columns(trace):
+    """Everything a trace holds, as plain values, so traces compare with ==."""
+    return (trace.trace_id, trace.span_ids, trace.parent.tolist(), trace.identities,
+            trace.start_us.tolist(), trace.duration_us.tolist(), trace.tags)
 
 
 def test_identity_ordering_and_label():
@@ -108,7 +113,7 @@ def test_decompose_waiting_matches_brute_force_count(tree, seed):
             build_trace(recs)
     trace = build_trace(recs, lenient=True)
     rows = decompose(trace)
-    assert [d.span_id for d in rows] == [r.span_id for r in trace.preorder()]
+    assert [d.span_id for d in rows] == trace.span_ids
     assert sorted(d.span_id for d in rows) == sorted(parents)
 
     # Waiting is the count of microseconds the clipped children cover.
@@ -118,7 +123,8 @@ def test_decompose_waiting_matches_brute_force_count(tree, seed):
         covered = set()
         for c in recs:
             if parents[c.span_id] == d.span_id:
-                covered.update(range(max(c.start_us, p.start_us), min(c.end_us, p.end_us)))
+                covered.update(range(max(c.start_us, p.start_us),
+                                     min(c.start_us + c.duration_us, p.start_us + p.duration_us)))
         assert d.child_waiting_us == len(covered)
         assert d.duration_us == d.child_waiting_us + d.self_segment_us
         assert d.self_segment_us >= 0
@@ -127,10 +133,11 @@ def test_decompose_waiting_matches_brute_force_count(tree, seed):
     random.Random(seed).shuffle(shuffled)
     again = build_trace(shuffled, lenient=True)
     assert decompose(again) == rows
-    assert list(again.preorder()) == list(trace.preorder())
-
-    for r in recs:
-        assert span_from_json(span_to_json(r)) == r
+    assert _columns(again) == _columns(trace)
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "traces.jsonl")
+        write_traces_jsonl([trace], path)
+        assert [_columns(t) for t in read_traces_jsonl(path)] == [_columns(trace)]
 
 
 def test_decompose_two_overlapping_children():
@@ -218,8 +225,8 @@ def test_build_trace_lenient_reparents_orphan():
         [_span("a", None, 0, 100, WEB), _span("b", "ghost", 5, 10)],
         lenient=True,
     )
-    assert t.span("b").parent_id == "a"
-    assert [r.span_id for r in t.preorder()] == ["a", "b"]
+    assert t.span_ids == ["a", "b"]
+    assert t.parent.tolist() == [-1, 0]
 
 
 def test_preorder_sorted_by_start_then_id():
@@ -230,7 +237,8 @@ def test_preorder_sorted_by_start_then_id():
         _span("m", "p", 5, 5),
     ]
     t = build_trace(recs)
-    assert [r.span_id for r in t.preorder()] == ["p", "m", "a", "z"]
+    assert t.span_ids == ["p", "m", "a", "z"]
+    assert t.parent.tolist() == [-1, 0, 0, 0]
 
 
 def test_end_to_end_latency():
@@ -238,14 +246,14 @@ def test_end_to_end_latency():
     assert t.end_to_end_latency_us() == 1234
 
 
-def test_span_json_round_trip():
-    rec = _span("s1", "p0", 42, 77, WEB, tags={"k": "v", "a": "1"})
-    back = span_from_json(span_to_json(rec))
-    assert back == rec
-    root = _span("r", None, 0, 5, WEB)
-    line = span_to_json(root)
-    assert "parentId" not in json.loads(line)
-    assert span_from_json(line) == root
+def test_span_json_round_trip(tmp_path):
+    trace = build_trace([_span("r", None, 0, 5, WEB), _span("s", "r", 42, 77, tags={"k": "v", "a": "1"})])
+    path = tmp_path / "traces.jsonl"
+    write_traces_jsonl([trace], str(path))
+    root, child = map(json.loads, path.read_text().splitlines())
+    assert "parentId" not in root and child["parentId"] == "r"
+    assert list(child["tags"]) == ["a", "k"]  # written sorted
+    assert [_columns(t) for t in read_traces_jsonl(str(path))] == [_columns(trace)]
 
 
 def test_span_from_json_rejects_bad_lines():
@@ -320,7 +328,8 @@ def test_traces_jsonl_file_round_trip(tmp_path):
     back = read_traces_jsonl(str(path))
     assert len(back) == 2
     assert [t.trace_id for t in back] == ["tA", "tB"]
-    assert back[0].span("c").tags == {"shard": "a"}
+    assert back[0].span_ids == ["p", "c"]
+    assert back[0].tags == {1: {"shard": "a"}}
     assert back[0].end_to_end_latency_us() == 100
 
 
@@ -403,14 +412,13 @@ def test_read_shares_identities_and_trace_ids_and_matches_per_line_parse(case):
     expected = [build_trace(records) for records in groups.values()]
     traces = _read_text(text)
     assert [t.trace_id for t in traces] == [t.trace_id for t in expected]
-    assert [t.preorder() for t in traces] == [t.preorder() for t in expected]
+    assert [_columns(t) for t in traces] == [_columns(t) for t in expected]
     assert [decompose(t) for t in traces] == [decompose(t) for t in expected]
-    # One object per distinct identity across the read, one trace id per trace.
+    # One object per distinct identity across the read.
     first_seen = {}
     for trace in traces:
-        for rec in trace.preorder():
-            assert first_seen.setdefault(rec.identity, rec.identity) is rec.identity
-            assert rec.trace_id is trace.trace_id
+        for identity in trace.identities:
+            assert first_seen.setdefault(identity, identity) is identity
     assert len(first_seen) <= len(IDENTITY_POOL) - 1
 
 
@@ -472,7 +480,7 @@ def test_interleaved_children_first_file_reads_as_the_sorted_file(tmp_path):
     expected = read_traces_jsonl(str(sorted_path))
     got = read_traces_jsonl(str(mixed_path))
     assert [t.trace_id for t in got] == [t.trace_id for t in expected] == list(by_trace)
-    assert [t.preorder() for t in got] == [t.preorder() for t in expected]
+    assert [_columns(t) for t in got] == [_columns(t) for t in expected]
     assert [decompose(t) for t in got] == [decompose(t) for t in expected]
 
 
@@ -526,10 +534,11 @@ def test_decompose_and_pools_match_an_interval_union_oracle(forest):
         trace = build_trace(recs, lenient=True)
         by_id = {r.span_id: r for r in recs}
         rows = decompose(trace)
-        assert [d.span_id for d in rows] == [r.span_id for r in trace.preorder()]
+        assert [d.span_id for d in rows] == trace.span_ids
         for d in rows:
             p = by_id[d.span_id]
-            clipped = [(max(c.start_us, p.start_us), min(c.end_us, p.end_us))
+            end = p.start_us + p.duration_us
+            clipped = [(max(c.start_us, p.start_us), min(c.start_us + c.duration_us, end))
                        for c in recs if parents[c.span_id] == d.span_id]
             assert d.child_waiting_us == _union_length(clipped)
             assert d.self_segment_us == p.duration_us - d.child_waiting_us >= 0

@@ -1,23 +1,15 @@
 """Utility measures over pooled self segments."""
-import numpy as np
 import pytest
 
 from spanbandit import (
     EmptyBatch,
     SpanIdentity,
     SpanRecord,
-    UnknownIdentity,
     UnknownMeasure,
-    WorkloadSpec,
-    available_measures,
     build_trace,
     compute_batch_utilities,
-    get_preset,
-    measure_comparison,
     measure_min_samples,
     pool_self_segments,
-    register_measure,
-    simulate_workload,
 )
 
 A = SpanIdentity("svc-a", "op")
@@ -116,80 +108,6 @@ def test_unknown_measure_and_empty_batch():
         measure_min_samples("entropy")
     with pytest.raises(EmptyBatch):
         compute_batch_utilities([], "variance")
-
-
-def test_register_custom_measure():
-    register_measure("range_width", lambda x: float(np.max(x) - np.min(x)), min_samples=2)
-    assert "range_width" in available_measures()
-    traces = [_leaf_trace(f"t{i}", A, d) for i, d in enumerate([3, 11])]
-    (est,) = compute_batch_utilities(traces, "range_width")
-    assert est.raw == pytest.approx(8.0)
-
-
-def test_measure_comparison_ranks_variable_identity_first():
-    rng = np.random.default_rng(5)
-    a = rng.normal(5000, 40, size=60).astype(int)
-    b = rng.normal(800, 900, size=60)
-    b = np.clip(b, 1, None).astype(int)
-    traces = _two_identity_batch(a.tolist(), b.tolist())
-    rows = {r.measure: r for r in measure_comparison(traces, B, measures=("variance", "std"))}
-    assert rows["variance"].fault_rank == 1
-    assert rows["variance"].top1
-    assert not rows["variance"].ambiguous
-
-
-def test_measure_comparison_flags_uninformative_batch():
-    traces = [_leaf_trace(f"t{i}", A, 100) for i in range(3)]
-    (row,) = measure_comparison(traces, A, measures=("variance",))
-    assert row.ambiguous
-    assert not row.top5
-
-
-def test_measure_comparison_unknown_identity():
-    traces = [_leaf_trace("t0", A, 1)]
-    with pytest.raises(UnknownIdentity):
-        measure_comparison(traces, B, measures=("mean",))
-
-
-def _reference_comparison(traces, fault, measures):
-    """Each measure ranked from its own compute_batch_utilities call."""
-    rows = []
-    for name in measures:
-        estimates = compute_batch_utilities(traces, name)
-        ranked = sorted(estimates, key=lambda e: (-e.raw, e.identity))
-        rank = next(i for i, e in enumerate(ranked, start=1) if e.identity == fault)
-        raws = [e.raw for e in estimates]
-        ambiguous = max(raws) == min(raws)
-        rows.append((name, rank, *(not ambiguous and rank <= k for k in (1, 3, 5)), ambiguous))
-    return rows
-
-
-def test_measure_comparison_matches_each_measures_own_scoring():
-    preset = get_preset("social")
-    traces, _ = simulate_workload(
-        preset.topology, preset.anomalies, WorkloadSpec(num_requests=150, rng_seed=2)
-    )
-    fault = preset.anomalies[0].target
-    measures = ("variance", "std", "coefficient_of_variation", "mean", "max", "p99")
-    got = [
-        (r.measure, r.fault_rank, r.top1, r.top3, r.top5, r.ambiguous)
-        for r in measure_comparison(traces, fault)
-    ]
-    assert got == _reference_comparison(traces, fault, measures)
-    assert len({rank for _, rank, *_ in got}) > 1  # the measures disagree somewhere
-
-
-@pytest.mark.parametrize(
-    "batch, fault, measures, error",
-    [
-        ("empty", A, ("mean",), EmptyBatch),
-        ("empty", A, ("bogus",), UnknownMeasure),
-        ("one", A, ("mean", "bogus"), UnknownMeasure),
-        ("one", B, ("mean", "bogus"), UnknownIdentity),
-        ("one", B, ("bogus", "mean"), UnknownMeasure),
-    ],
-)
-def test_measure_comparison_errors_in_measure_order(batch, fault, measures, error):
-    traces = [] if batch == "empty" else [_leaf_trace("t0", A, 1)]
-    with pytest.raises(error):
-        measure_comparison(traces, fault, measures=measures)
+    # The measure is checked first, so an unknown one is named even on an empty batch.
+    with pytest.raises(UnknownMeasure):
+        compute_batch_utilities([], "bogus")
