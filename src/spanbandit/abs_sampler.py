@@ -28,9 +28,25 @@ JASA 58, Theorem 1) gives P(N >= m) <= exp(-S KL(m/S || mu/S)) when
 mu < m, and the same bound on P(N <= m) when mu > m. As
 P(N >= m+1) <= P(N_-j >= m) <= P(N >= m) for every identity j, a bin
 whose bound is below DECIDED_TAIL (1e-17) is settled: every tail there
-is 0 (mu < m) or 1 (mu > m) to within 1e-17. The pmf and the divisions
-run only on the bins left: 14-16 of 88 for 564 beliefs with alpha and
-beta uniform in [1, 10].
+is 0 (mu < m) or 1 (mu > m) to within 1e-17. S - mu is summed apart, as
+the sum of 1 - F_i, since mu near S rounds it away. The pmf and the
+divisions run only on the bins left: 14-16 of 88 for 564 beliefs with
+alpha and beta uniform in [1, 10].
+
+Most grid nodes need no CDF either. The factor
+lead = x^a (1-x)^b / B(a, b), which I_x(a, b) and its mirror
+1 - I_x(a, b) = I_{1-x}(b, a) share, is taken at every node, and it
+bounds both with no continued fraction. The hypergeometric series
+I_x(a, b) = lead/a * sum_n (a+b)_n/(a+1)_n x^n (DLMF 8.17.8) has
+positive terms, each at most r = x max(1, (a+b)/(a+1)) times the one
+before, so lead/a <= I_x(a, b) <= lead/(a(1-r)) when r < 1; the mirror's
+series, with r' = (1-x) max(1, (a+b)/(b+1)), bounds 1 - I_x(a, b) the
+same way. Summed over the identities, these bounds cap mu and S - mu in
+every bin. The bins they settle below and above the undecided band need
+no CDF: a settled-0 bin adds nothing to any vital value, and the
+settled-1 bins above telescope to 1 - F_j at the band's top node. So
+the continued fraction runs once, on the nodes in between: 18-23 of 87
+for the 564 beliefs above.
 
 The grid is GRID_BINS uniform bins over [0, 1], with TAIL_NODES more
 nodes inside each end bin at 1/GRID_BINS raised to the powers
@@ -88,6 +104,7 @@ def _grid() -> tuple[np.ndarray, np.ndarray]:
 
 
 _GRID = _grid()
+_LOG_GRID = tuple(np.log(v) for v in _GRID)
 
 
 class EmptyStore(ValueError):
@@ -128,6 +145,8 @@ class SamplingPolicy:
 
     def __post_init__(self) -> None:
         # The policy file's rules, naming wire keys; VitalSetConfig holds P's and epsilon's.
+        # An entry with no vital probability gets its probability, as the file writes it.
+        self.vital = {**self.entries, **self.vital}
         self.epoch = json_integer(self.epoch, "epoch", InvalidPolicy)
         self.epsilon = json_number(self.epsilon, "epsilon", InvalidPolicy)
         self.percentile = json_number(self.percentile, "percentile", InvalidPolicy)
@@ -146,19 +165,24 @@ class SamplingPolicy:
         return self.entries.get(identity, 1.0)
 
     def eliminated(self, identity: SpanIdentity) -> bool:
-        return self.vital.get(identity, 1.0) < self.epsilon
+        return self.vital[identity] < self.epsilon
 
 
 def _nonzero(v: np.ndarray) -> np.ndarray:
-    return np.where(np.abs(v) < _CF_TINY, _CF_TINY, v)
+    """v with each element below _CF_TINY in size set to _CF_TINY; v itself
+    when there is none, as there almost never is."""
+    size = np.abs(v)
+    return v if size.min(initial=np.inf) >= _CF_TINY else np.where(size < _CF_TINY, _CF_TINY, v)
 
 
 def _beta_cf(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The incomplete beta's continued fraction, by modified Lentz.
 
     Numerical Recipes (3rd ed.) section 6.4, on flat arrays. An element
-    whose last factor is within _CF_EPS of 1 has converged; converged
-    elements leave the working set once they are at least half of it.
+    whose last factor is within _CF_EPS of 1 has converged. Its x is then
+    set to 0, which makes every later factor exactly 1, so its value does
+    not depend on the other elements of the call. Converged elements leave
+    the working set once they are at least half of it.
     """
     out = np.empty_like(x)
     live = np.arange(x.size)
@@ -168,16 +192,18 @@ def _beta_cf(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     h = d.copy()
     for step in range(1, _CF_MAX_STEPS + 1):
         m2 = 2.0 * step
-        aa = step * (b - step) * x / ((qam + m2) * (a + m2))
+        am2 = a + m2
+        aa = step * (b - step) * x / ((qam + m2) * am2)
         d = 1.0 / _nonzero(1.0 + aa * d)
         c = _nonzero(1.0 + aa / c)
         h *= d * c
-        aa = -(a + step) * (qab + step) * x / ((a + m2) * (qap + m2))
-        d = 1.0 / _nonzero(1.0 + aa * d)
-        c = _nonzero(1.0 + aa / c)
+        aa = (a + step) * (qab + step) * x / (am2 * (qap + m2))  # the odd term, negated
+        d = 1.0 / _nonzero(1.0 - aa * d)
+        c = _nonzero(1.0 - aa / c)
         delta = d * c
         h *= delta
         done = np.abs(delta - 1.0) <= _CF_EPS
+        x = np.where(done, 0.0, x)
         if 2 * np.count_nonzero(done) >= done.size:
             out[live[done]] = h[done]
             keep = ~done
@@ -190,24 +216,52 @@ def _beta_cf(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def beta_cdf(alpha, beta, x, x_comp) -> np.ndarray:
+def beta_cdf(alpha, beta, x, x_comp, lead=None) -> np.ndarray:
     """The regularized incomplete beta I_x(alpha, beta) for 0 < x < 1.
 
     x_comp is 1 - x, passed separately so that x near 1 keeps its
-    precision. Arguments broadcast; log B(alpha, beta) is taken once per
-    (alpha, beta) element before broadcasting against x. Where
+    precision. Arguments broadcast. `lead` is `_beta_lead` of the same
+    arguments, for a caller that has already taken it; the planner takes
+    it at every grid node, and the fraction at a few. Where
     x > (alpha+1)/(alpha+beta+2) the fraction is evaluated for
     1 - I_{1-x}(beta, alpha), where it converges fast.
     """
     alpha, beta = np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float)
+    if lead is None:
+        lead = _beta_lead(alpha, beta, np.log(x), np.log(x_comp))
+    flip = x > (alpha + 1.0) / (alpha + beta + 2.0)
+    a, b, x = (np.where(flip, *pair).ravel() for pair in ((beta, alpha), (alpha, beta), (x_comp, x)))
+    tail = (lead.ravel() / a * _beta_cf(a, b, x)).reshape(flip.shape)
+    return np.where(flip, 1.0 - tail, tail)
+
+
+def _beta_lead(alpha, beta, log_x, log_xc) -> np.ndarray:
+    """lead = x^alpha (1-x)^beta / B(alpha, beta), the factor that I_x(alpha, beta),
+    its mirror and their series bounds share. log B is taken once per
+    (alpha, beta) element before broadcasting against x."""
     log_norm = _lgamma(alpha + beta) - _lgamma(alpha) - _lgamma(beta)
-    arrays = np.broadcast_arrays(alpha, beta, x, x_comp, log_norm)
-    a, b, x, xc, log_norm = (v.ravel() for v in arrays)
-    flip = x > (a + 1.0) / (a + b + 2.0)
-    a, b = np.where(flip, b, a), np.where(flip, a, b)
-    x, xc = np.where(flip, xc, x), np.where(flip, x, xc)
-    tail = np.exp(log_norm + a * np.log(x) + b * np.log(xc)) / a * _beta_cf(a, b, x)
-    return np.where(flip, 1.0 - tail, tail).reshape(arrays[0].shape)
+    return np.exp(log_norm + alpha * log_x + beta * log_xc)
+
+
+def _cdf_bounds(a, b, lead) -> tuple[np.ndarray, np.ndarray]:
+    """Upper bounds on I_x(a, b) and on 1 - I_x(a, b) at every grid node,
+    from lead alone: the series bound of the module docstring on each,
+    capped by 1 less the other's first term. Each stays accurate where it
+    is tiny."""
+    x, xc = _GRID
+    first, mirror_first = lead / a, lead / b
+    below = _series_bound(first, x * np.maximum(1.0, (a + b) / (a + 1.0)))
+    np.minimum(below, 1.0 - mirror_first, out=below)
+    above = _series_bound(mirror_first, xc * np.maximum(1.0, (a + b) / (b + 1.0)))
+    np.minimum(above, 1.0 - first, out=above)
+    return below, above
+
+
+def _series_bound(first: np.ndarray, ratio: np.ndarray) -> np.ndarray:
+    """first / (1 - ratio), the sum of a positive series whose terms shrink
+    by at most `ratio`; infinite where ratio >= 1 bounds nothing."""
+    rest = np.subtract(1.0, ratio, out=ratio)
+    return np.divide(first, rest, out=np.full_like(first, np.inf), where=rest > 0.0)
 
 
 def _count_pmf(p: np.ndarray) -> np.ndarray:
@@ -222,17 +276,37 @@ def _count_pmf(p: np.ndarray) -> np.ndarray:
     return pmf
 
 
-def _undecided_bins(mean_count: np.ndarray, s: int, m: int) -> np.ndarray:
-    """The bins where the count of S identities below, of mean mu = mean_count, is
+def _undecided_bins(below: np.ndarray, above: np.ndarray, s: int, m: int) -> np.ndarray:
+    """The bins where the count of S identities below, of mean mu = below, is
     not settled against m: its Chernoff-Hoeffding bound exp(-S KL(m/S || mu/S))
     on the far side of m is not below DECIDED_TAIL (see the module docstring).
+    above is S - mu, summed apart: near S, mu cannot carry it.
     """
-    a, mean = m / s, np.clip(mean_count / s, 0.0, 1.0)
+    a = m / s
+    below, above = np.clip(below / s, 0.0, 1.0), np.clip(above / s, 0.0, 1.0)
     with np.errstate(divide="ignore"):  # log(0) = -inf: the far side is empty
-        kl = (1.0 - a) * (math.log1p(-a) - np.log1p(-mean))
+        kl = (1.0 - a) * (math.log1p(-a) - np.log(above))
         if m:
-            kl += a * (math.log(a) - np.log(mean))
+            kl += a * (math.log(a) - np.log(below))
     return ~(s * kl > -math.log(DECIDED_TAIL))
+
+
+def _open_bins(below: np.ndarray, above: np.ndarray, m: int) -> tuple[int, int]:
+    """The bins start .. stop-1 that upper bounds `below` on each CDF and
+    `above` on its complement, at the grid nodes, cannot settle: every bin
+    below start is settled-0 and every bin from stop on settled-1 (see
+    `_undecided_bins`), for any CDFs within the bounds."""
+    s, nodes = below.shape
+    most = np.zeros((2, nodes + 2))  # the most identities below, and above, at 0, each node and 1
+    most[0, -1] = most[1, 0] = s
+    most[0, 1:-1], most[1, 1:-1] = below.sum(axis=0), above.sum(axis=0)
+    most = 0.5 * (most[:, :-1] + most[:, 1:])  # and in each bin
+    # The count below in each bin: at most most[0], for settled-0; at least S - most[1], for settled-1.
+    count = np.stack([most[0], s - most[1]])
+    settled = ~_undecided_bins(count, np.stack([s - most[0], most[1]]), s, m)
+    start = int(np.logical_and.accumulate(settled[0] & (count[0] < m)).sum())
+    high = settled[1] & (count[1] > m)
+    return start, high.size - int(np.logical_and.accumulate(high[::-1]).sum())
 
 
 def _others_at_least(p: np.ndarray, m: int) -> np.ndarray:
@@ -247,9 +321,9 @@ def _others_at_least(p: np.ndarray, m: int) -> np.ndarray:
     p <= 1/2 and backward over its suffix sums where p > 1/2, each the
     numerically stable direction.
     """
-    mean_count = p.sum(axis=0)
-    undecided = _undecided_bins(mean_count, p.shape[0], m)
-    tails = np.broadcast_to(mean_count > m, p.shape).astype(float)
+    below = p.sum(axis=0)
+    undecided = _undecided_bins(below, (1.0 - p).sum(axis=0), p.shape[0], m)
+    tails = np.broadcast_to(below > m, p.shape).astype(float)
     if undecided.any():
         tails[:, undecided] = _divided_out(p[:, undecided], m)
     return tails
@@ -280,33 +354,54 @@ def _divided_out(p: np.ndarray, m: int) -> np.ndarray:
     return np.clip(np.where(forward, 1.0 - fewer, acc / p_bwd), 0.0, 1.0)
 
 
+def _shrunk(alphas: np.ndarray, betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The beliefs' alpha and beta as columns, each alpha + beta above
+    MAX_CONCENTRATION scaled down to it with the mean kept."""
+    shrink = np.minimum(1.0, MAX_CONCENTRATION / (alphas + betas))
+    return (alphas * shrink)[:, None], (betas * shrink)[:, None]
+
+
+def _unscaled_vital(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
+    """vital_j for the Beta(a, b) columns before `build_policy`'s rescale.
+
+    The CDFs are taken only at the nodes of the bins that their bounds
+    leave open (see the module docstring). In each of those bins, identity
+    i lies below identity j with the mean of i's CDF at the bin's two
+    edges, and P(at least m others below) is weighted by j's mass in the
+    bin; the settled-1 bins above add j's mass above them, 1 - F_j.
+    """
+    lead = _beta_lead(a, b, *_LOG_GRID)
+    start, stop = _open_bins(*_cdf_bounds(a, b, lead), m)
+    nodes = slice(max(start - 1, 0), min(stop, _GRID[0].size))
+    cdf = np.zeros((a.size, _GRID[0].size + 2))
+    cdf[:, -1] = 1.0
+    cdf[:, nodes.start + 1 : nodes.stop + 1] = beta_cdf(
+        a, b, _GRID[0][nodes], _GRID[1][nodes], lead[:, nodes]
+    )
+    block = cdf[:, start : stop + 1]
+    p = 0.5 * (block[:, :-1] + block[:, 1:])
+    return (np.diff(block, axis=1) * _others_at_least(p, m)).sum(axis=1) + (1.0 - block[:, -1])
+
+
 def build_policy(store: BeliefStore, cfg: VitalSetConfig) -> SamplingPolicy:
     """Plan the sampling policy for `store`'s beliefs.
 
-    Identities are ordered lexicographically. In each grid bin, identity
-    i lies below identity j with the mean of i's CDF at the bin's two
-    edges; weighting P(at least m others below) by j's mass in each bin
-    gives vital_j. The vital values are then rescaled to sum to S - m
-    exactly, as every draw's vital set does: the vital mass is scaled
-    down when it overshoots, the non-vital mass when it falls short, so
-    every value stays within [0, 1].
+    Identities are ordered lexicographically. The vital values
+    (`_unscaled_vital`) are rescaled to sum to S - m exactly, as every
+    draw's vital set does: the vital mass is scaled down when it
+    overshoots, the non-vital mass when it falls short, so every value
+    stays within [0, 1].
     """
     if not store.beliefs:
         raise EmptyStore("no identities to plan for")
     identities = sorted(store.beliefs)
     alphas = np.array([store.beliefs[i].alpha for i in identities])
     betas = np.array([store.beliefs[i].beta for i in identities])
-    shrink = np.minimum(1.0, MAX_CONCENTRATION / (alphas + betas))
     s = len(identities)
     h = (s - 1) * cfg.percentile_p / 100.0
     k = math.floor(h)
     m = k + 1 if h > k else k
-
-    cdf = np.zeros((s, _GRID[0].size + 2))
-    cdf[:, -1] = 1.0
-    cdf[:, 1:-1] = beta_cdf((alphas * shrink)[:, None], (betas * shrink)[:, None], *_GRID)
-    p = 0.5 * (cdf[:, :-1] + cdf[:, 1:])
-    vital = (np.diff(cdf, axis=1) * _others_at_least(p, m)).sum(axis=1)
+    vital = _unscaled_vital(*_shrunk(alphas, betas), m)
     total, target = vital.sum(), float(s - m)
     if total >= target:
         vital = vital * target / total
@@ -338,7 +433,7 @@ def policy_to_json_dict(policy: SamplingPolicy) -> dict:
             {
                 **identity_to_json(identity),
                 "probability": policy.entries[identity],
-                "vitalProbability": policy.vital.get(identity, policy.entries[identity]),
+                "vitalProbability": policy.vital[identity],
             }
             for identity in sorted(policy.entries)
         ],
@@ -430,12 +525,12 @@ def report(policy: SamplingPolicy, store: BeliefStore) -> VitalityReport:
             raise InvalidPolicy(f"{identity.label()} is in the policy but not in the state")
     beliefs = {identity: store.beliefs[identity] for identity in policy.entries}
     ambiguous = len({(b.alpha, b.beta) for b in beliefs.values()}) <= 1 and len(beliefs) > 1
-    ordered = sorted(beliefs, key=lambda i: (-policy.vital.get(i, 0.0), -beliefs[i].mean, i))
+    ordered = sorted(beliefs, key=lambda i: (-policy.vital[i], -beliefs[i].mean, i))
     rows = [
         ReportRow(
             rank=rank,
             identity=identity,
-            vital_probability=policy.vital.get(identity, 0.0),
+            vital_probability=policy.vital[identity],
             probability=policy.entries[identity],
             posterior_mean=beliefs[identity].mean,
             posterior_variance=posterior_variance(beliefs[identity]),

@@ -41,8 +41,9 @@ class NormalizationOutOfRange(ValueError):
 
 
 class InvalidBelief(ValueError):
-    """A Beta parameter that is not a finite positive number, a store's
-    lambda that is not a finite number, or its epoch that is not an integer."""
+    """A Beta parameter that is not a finite number at or above PARAM_FLOOR,
+    an alpha + beta that overflows, a store's lambda that is not a finite
+    number, or its epoch that is not an integer."""
 
 
 def json_integer(value, name: str, error: type[ValueError]) -> int:
@@ -96,13 +97,17 @@ class BetaBelief:
     beta: float = 1.0
 
     def __post_init__(self) -> None:
-        # One NaN belief zeroes every identity's vital probability, so
-        # non-finite parameters are rejected here, not downstream.
+        # The planner's numeric domain has this one home. One NaN belief
+        # zeroes every identity's vital probability; update_epoch never goes
+        # below PARAM_FLOOR; and the planner divides by alpha + beta to
+        # shrink it, so each is rejected here, not downstream.
         for name in ("alpha", "beta"):
             value = json_number(getattr(self, name), name, InvalidBelief)
-            if not value > 0:
-                raise InvalidBelief(f"{name} must be finite and > 0, got {value!r}")
+            if not value >= PARAM_FLOOR:
+                raise InvalidBelief(f"{name} must be finite and >= {PARAM_FLOOR}, got {value!r}")
             setattr(self, name, value)
+        if not math.isfinite(self.alpha + self.beta):
+            raise InvalidBelief(f"alpha + beta must be finite, got {self.alpha!r} + {self.beta!r}")
 
     @property
     def mean(self) -> float:

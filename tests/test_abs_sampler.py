@@ -11,6 +11,7 @@ from spanbandit import (
     BetaBelief,
     EmptyStore,
     InvalidPolicy,
+    SamplingPolicy,
     SpanIdentity,
     VitalSetConfig,
     build_policy,
@@ -20,6 +21,7 @@ from spanbandit import (
     report,
     save_policy,
 )
+from spanbandit import abs_sampler
 from spanbandit.abs_sampler import beta_cdf
 from spanbandit.belief import PARAM_FLOOR
 from spanbandit.experiment import synthetic_store
@@ -151,6 +153,28 @@ def test_beta_cdf_matches_scipy():
     x[:5_000] = (a / (a + b))[:5_000]  # at the mean, where the fraction is slowest
     got = beta_cdf(a, b, x, 1.0 - x)
     assert np.max(np.abs(got - special.betainc(a, b, x))) < 1e-8
+
+
+def _continued_fraction_sizes(monkeypatch, store, percentile):
+    """The number of elements of each array build_policy hands the continued fraction."""
+    sizes, fraction = [], abs_sampler._beta_cf
+
+    def counted(a, b, x):
+        sizes.append(x.size)
+        return fraction(a, b, x)
+
+    monkeypatch.setattr(abs_sampler, "_beta_cf", counted)
+    build_policy(store, VitalSetConfig(percentile_p=percentile))
+    return sizes
+
+
+def test_the_continued_fraction_runs_once_on_the_open_nodes_only(monkeypatch):
+    # The CDF bounds leave 21 of the 87 grid nodes open on this store.
+    sizes = _continued_fraction_sizes(monkeypatch, synthetic_store(564, 0), 75.0)
+    assert len(sizes) == 1 and sizes[0] <= 30 * 564
+    # U-shaped beliefs leave every bin open: one call still takes every node.
+    u_shaped = _store([(0.05 * (1 + 0.1 * i), 0.05) for i in range(3)])
+    assert _continued_fraction_sizes(monkeypatch, u_shaped, 75.0) == [3 * abs_sampler._GRID[0].size]
 
 
 def test_vital_matches_pairwise_win_probability_for_two_spans():
@@ -336,6 +360,19 @@ def test_report_refuses_a_policy_identity_the_store_lacks():
     # The store may hold identities the policy lacks; the report lists the policy's.
     store = _store([(2, 8), (8, 2), (5, 5), (1, 1)])
     assert sorted(r.identity for r in report(policy, store).rows) == sorted(policy.entries)
+
+
+def test_a_policy_without_vital_values_reports_the_same_rows_after_a_save_and_load(tmp_path):
+    # A missing vital probability is the entry's probability, as the policy
+    # file writes it: report ranks, prints and flags it so before and after.
+    a, b = SpanIdentity("a", "x"), SpanIdentity("b", "y")
+    store = BeliefStore(beliefs={a: BetaBelief(2.0, 5.0), b: BetaBelief(5.0, 2.0)})
+    policy = SamplingPolicy(epoch=0, epsilon=0.1, percentile=75.0, entries={a: 0.05, b: 0.9})
+    path = tmp_path / "policy.json"
+    save_policy(policy, str(path))
+    rows = report(policy, store).rows
+    assert report(load_policy(str(path)), store).rows == rows
+    assert [(r.identity, r.vital_probability, r.eliminated) for r in rows] == [(b, 0.9, False), (a, 0.05, True)]
 
 
 def test_policy_file_listing_an_identity_twice_rejected():

@@ -1,5 +1,6 @@
 """Beta belief updates, closed forms, and the snapshot wire format."""
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from spanbandit import (
     NormalizationOutOfRange,
     SpanIdentity,
     UtilityEstimate,
+    VitalSetConfig,
+    build_policy,
     init_belief,
     load_store,
     posterior_variance,
@@ -66,6 +69,42 @@ def test_invalid_parameters_rejected():
 def test_non_finite_or_non_positive_belief_rejected(alpha, beta, field):
     with pytest.raises(InvalidBelief, match=f"^{field} "):
         BetaBelief(alpha, beta)
+
+
+@pytest.mark.parametrize(
+    "alpha, beta, named",
+    [
+        pytest.param(1.7e308, 1.7e308, "^alpha \\+ beta must be finite", id="sum-overflows"),
+        pytest.param(1e300, 1e-300, "^beta must be finite and >= 1e-09", id="beta-below-floor"),
+        pytest.param(1e-320, 1.0, "^alpha must be finite and >= 1e-09", id="alpha-subnormal"),
+        pytest.param(PARAM_FLOOR * 0.99, 1.0, "^alpha must be finite and >= 1e-09", id="alpha-under-floor"),
+    ],
+)
+def test_belief_outside_the_planners_domain_rejected(alpha, beta, named):
+    # update_epoch floors every parameter at PARAM_FLOOR, and the planner
+    # shrinks alpha + beta, so a belief below the floor or with an infinite
+    # sum is one no epoch could produce and no plan could use.
+    with pytest.raises(InvalidBelief, match=named):
+        BetaBelief(alpha, beta)
+
+
+@pytest.mark.parametrize(
+    "alpha, beta",
+    [
+        (PARAM_FLOOR, PARAM_FLOOR),
+        (PARAM_FLOOR, 1.7e308),
+        (1.7e308, PARAM_FLOOR),
+        (8.9e307, 8.9e307),
+        (1e6, 1e6),
+    ],
+)
+def test_every_belief_at_the_edge_of_the_domain_plans(alpha, beta):
+    store = BeliefStore(beliefs={IDENT: BetaBelief(alpha, beta), OTHER: BetaBelief(2.0, 3.0)})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vital = build_policy(store, VitalSetConfig(percentile_p=50.0)).vital
+    assert all(0.0 <= v <= 1.0 for v in vital.values())
+    assert sum(vital.values()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_store_file_with_nan_belief_rejected():

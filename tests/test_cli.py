@@ -521,6 +521,32 @@ def test_json_file_of_the_wrong_shape_reports_json_error(tmp_path, capsys, kind,
     assert named in err["message"]
 
 
+# (alpha, beta, text the message must name): beliefs no epoch could
+# produce and the planner could not plan.
+OUT_OF_DOMAIN_BELIEFS = [
+    pytest.param(1.7e308, 1.7e308, "alpha + beta must be finite", id="sum-overflows"),
+    pytest.param(1e300, 1e-300, "beta must be finite and >= 1e-09", id="beta-below-floor"),
+]
+
+
+@pytest.mark.parametrize("alpha, beta, named", OUT_OF_DOMAIN_BELIEFS)
+def test_state_file_with_a_belief_outside_the_planners_domain_reports_json_error(
+    tmp_path, capsys, alpha, beta, named
+):
+    def change(doc):
+        doc["beliefs"][0].update(alpha=alpha, beta=beta)
+        return doc
+
+    traces, _, state, _ = _files_with_one_change(tmp_path, capsys, "state", change)
+    rc = main(["learn", "--in", str(traces), "--state", str(state),
+               "--policy-out", str(tmp_path / "replanned.json")])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "InvalidBelief"
+    assert named in err["message"]
+
+
 def test_report_refuses_a_policy_identity_the_state_lacks(tmp_path, capsys):
     ghost = {"service": "ghost", "operation": "log", "url": "", "probability": 1.0, "vitalProbability": 1.0}
     _, _, state, policy = _files_with_one_change(

@@ -10,6 +10,7 @@ named error at construction, naming the field by its wire key.
 import json
 import math
 import os
+import sys
 import tempfile
 
 import pytest
@@ -36,7 +37,7 @@ from spanbandit import (
     store_to_json_dict,
     write_traces_jsonl,
 )
-from spanbandit.belief import UPDATE_MODES
+from spanbandit.belief import PARAM_FLOOR, UPDATE_MODES
 from spanbandit.simulator import spec_from_json_dict, spec_to_json_dict
 
 _settings = settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -92,7 +93,8 @@ def test_policy_round_trips(policy):
     assert policy_from_json_dict(_through_json(policy_to_json_dict(policy))) == policy
 
 
-_param = st.floats(0.0, exclude_min=True, allow_infinity=False)
+# Every belief BetaBelief accepts: each parameter at least PARAM_FLOOR, their sum finite.
+_param = st.floats(PARAM_FLOOR, sys.float_info.max / 2)
 
 
 @_settings
