@@ -1,4 +1,4 @@
-"""One closed-loop run, epoch by epoch.
+"""One closed-loop run, printed epoch by epoch as the loop yields it.
 
 Each epoch: sample a batch of traces under the current policy, score
 per-identity self-time variance, fold the normalized scores into the
@@ -7,8 +7,9 @@ planner. Watch the injected fault's sampling probability climb while the
 total instrumentation paid for falls.
 """
 import argparse
+import itertools
 
-from spanbandit import ControllerConfig, get_preset, run_closed_loop, with_seed
+from spanbandit import ControllerConfig, RunResult, closed_loop, get_preset, with_seed
 
 
 def main():
@@ -25,23 +26,24 @@ def main():
     print(f"preset {preset.name}: {len(preset.topology.identities())} identities, "
           f"injected fault at {fault_labels or preset.anomalies}")
 
-    result = run_closed_loop(
+    print(f"\n{'epoch':>5} {'traces':>7} {'fault prob':>11} {'enabled':>8}  top5")
+    rows = []
+    epochs = closed_loop(
         preset.topology,
         preset.anomalies,
         with_seed(preset.workload, args.seed),
         ControllerConfig(),
-        num_epochs=args.epochs,
     )
-
-    print(f"\n{'epoch':>5} {'traces':>7} {'fault prob':>11} {'enabled':>8}  top5")
-    for row in result.rows:
+    for record in itertools.islice(epochs, args.epochs):
+        row = record.metrics
+        rows.append(row)
         print(f"{row.epoch:>5} {row.samples_seen:>7} {row.faulty_probability:>11.3f} "
               f"{row.fraction_enabled:>8.3f}  {'hit' if row.top5_hit else '-'}")
 
     print(f"\ncumulative instrumentation fraction: "
-          f"{result.cumulative_fraction_enabled():.3f}")
+          f"{RunResult(rows).cumulative_fraction_enabled():.3f}")
     reached = next(
-        (r.samples_seen for r in result.rows if r.faulty_probability >= 0.9), None
+        (r.samples_seen for r in rows if r.faulty_probability >= 0.9), None
     )
     if reached is not None:
         print(f"fault pinned at probability >= 0.9 after {reached} sampled traces")

@@ -67,6 +67,7 @@ from .simulator import (
     ContentionAnomaly,
     ControllerConfig,
     EpochMetrics,
+    EpochRecord,
     GroundTruth,
     InvalidTopology,
     LatencyModel,
@@ -76,6 +77,7 @@ from .simulator import (
     ServiceTagSpec,
     TopologySpec,
     WorkloadSpec,
+    closed_loop,
     generate_request,
     latency_from_median_us,
     load_spec,

@@ -22,12 +22,13 @@ valid trace.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import numbers
 import time
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -562,10 +563,20 @@ class EpochMetrics:
 
 
 @dataclass
+class EpochRecord:
+    """One epoch of `closed_loop`: its metrics row, the batch it learned
+    from, the store it updated and the policy it planned. `store` is the
+    loop's own live store, which later epochs go on updating."""
+
+    metrics: EpochMetrics
+    traces: list[Trace]
+    store: BeliefStore
+    policy: SamplingPolicy
+
+
+@dataclass
 class RunResult:
     rows: list[EpochMetrics]
-    policy: SamplingPolicy
-    store: BeliefStore
 
     def cumulative_fraction_enabled(self) -> float:
         return float(np.mean([r.fraction_enabled for r in self.rows])) if self.rows else 1.0
@@ -574,23 +585,22 @@ class RunResult:
 AnomalySchedule = Sequence[tuple[int, tuple[AnomalySpec, ...]]]
 
 
-def run_closed_loop(
+def closed_loop(
     topology: TopologySpec,
     anomalies: Sequence[AnomalySpec] | AnomalySchedule,
     workload: WorkloadSpec,
     controller: ControllerConfig = ControllerConfig(),
-    *,
-    num_epochs: int,
-) -> RunResult:
-    """Generate -> score -> update -> re-plan, once per epoch.
+) -> Iterator[EpochRecord]:
+    """Generate -> score -> update -> re-plan, one `EpochRecord` per epoch, without end.
 
     `anomalies` is either a flat anomaly sequence or a schedule of
-    (start_epoch, anomalies) pairs for mid-run shifts. Each epoch issues
-    requests until batch_size traces are sampled, updates beliefs with
-    the batch utilities, and publishes the next sampling policy.
+    (start_epoch, anomalies) pairs for mid-run shifts; every phase is
+    checked when the first epoch is asked for, before its first request.
+    Each epoch issues requests until batch_size traces are sampled,
+    updates beliefs with the batch utilities, and publishes the next
+    sampling policy. Epoch k depends on no later epoch, so a caller may
+    stop at any epoch.
     """
-    if num_epochs < 1:
-        raise ValueError(f"num_epochs must be at least 1, got {num_epochs}")
     flat = list(anomalies)
     if flat and isinstance(flat[0], tuple):
         schedule = sorted((int(e), tuple(a)) for e, a in flat)  # type: ignore[misc]
@@ -604,14 +614,13 @@ def run_closed_loop(
     total_weight = sum(weights.values())
     store = BeliefStore(lam=controller.lam, mode=controller.mode)
     policy: SamplingPolicy | None = None
-    rows: list[EpochMetrics] = []
     request_index = 0
     samples_seen = 0
     max_attempts_per_epoch = workload.batch_size * max(
         20, int(8.0 / workload.request_sampling_rate)
     )
 
-    for epoch in range(1, num_epochs + 1):
+    for epoch in itertools.count(1):
         phase_i = max(i for i, (start, _) in enumerate(schedule) if start <= epoch)
         active_anomalies = schedule[phase_i][1]
         faulty = faulty_sets[phase_i]
@@ -654,21 +663,33 @@ def run_closed_loop(
         faulty_probability = (
             float(np.mean([policy.probability(i) for i in faulty])) if faulty else 0.0
         )
-        rows.append(
-            EpochMetrics(
-                epoch=epoch,
-                samples_seen=samples_seen,
-                requests_seen=request_index,
-                faulty_probability=faulty_probability,
-                fraction_enabled=fraction_enabled,
-                top1_hit=hits[1],
-                top3_hit=hits[3],
-                top5_hit=hits[5],
-                inference_ms=inference_ms,
-            )
+        metrics = EpochMetrics(
+            epoch=epoch,
+            samples_seen=samples_seen,
+            requests_seen=request_index,
+            faulty_probability=faulty_probability,
+            fraction_enabled=fraction_enabled,
+            top1_hit=hits[1],
+            top3_hit=hits[3],
+            top5_hit=hits[5],
+            inference_ms=inference_ms,
         )
+        yield EpochRecord(metrics, traces, store, policy)
 
-    return RunResult(rows=rows, policy=policy, store=store)
+
+def run_closed_loop(
+    topology: TopologySpec,
+    anomalies: Sequence[AnomalySpec] | AnomalySchedule,
+    workload: WorkloadSpec,
+    controller: ControllerConfig = ControllerConfig(),
+    *,
+    num_epochs: int,
+) -> RunResult:
+    """The metrics rows of `closed_loop`'s first `num_epochs` epochs."""
+    if num_epochs < 1:
+        raise ValueError(f"num_epochs must be at least 1, got {num_epochs}")
+    epochs = closed_loop(topology, anomalies, workload, controller)
+    return RunResult([record.metrics for record in itertools.islice(epochs, num_epochs)])
 
 
 # --- one-document spec format --------------------------------------------

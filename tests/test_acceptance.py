@@ -13,6 +13,7 @@ The closed-loop runs behind criteria 1-4 are independent and seeded, so
 they are spread over up to two forked worker processes (see `_map`). The
 results are the ones a serial loop gives; only the wall time shrinks.
 """
+import itertools
 import multiprocessing
 import os
 import time
@@ -35,6 +36,7 @@ from spanbandit import (
     WorkloadSpec,
     build_policy,
     build_tag_matrix,
+    closed_loop,
     compare_elimination,
     correlation_report,
     decompose,
@@ -208,14 +210,14 @@ def _recovery_samples(eps, seed):
         (1, tuple(preset.anomalies)),
         (SHIFT_EPOCH, (RandomDelayAnomaly(SpanIdentity("cache", "timeline-set")),)),
     ]
-    result = run_closed_loop(
-        preset.topology, schedule, with_seed(preset.workload, seed), controller, num_epochs=50
-    )
-    base_samples = result.rows[SHIFT_EPOCH - 2].samples_seen
-    for row in result.rows:
+    # Epoch k depends on no later epoch: the walk stops at re-convergence, or at epoch 50.
+    epochs = closed_loop(preset.topology, schedule, with_seed(preset.workload, seed), controller)
+    for row in (record.metrics for record in itertools.islice(epochs, 50)):
+        if row.epoch == SHIFT_EPOCH - 1:
+            base_samples = row.samples_seen
         if row.epoch >= SHIFT_EPOCH and row.faulty_probability >= THRESHOLD:
-            return row.samples_seen - base_samples
-    return result.rows[-1].samples_seen - base_samples
+            break
+    return row.samples_seen - base_samples
 
 
 def test_criterion_4_sensitivity_trends(monkeypatch):

@@ -3,6 +3,7 @@
 CI also runs this module against a numpy-only install of the package,
 so it imports neither scipy nor hypothesis.
 """
+import itertools
 import json
 import os
 import subprocess
@@ -19,10 +20,16 @@ from spanbandit import (
     RandomDelayAnomaly,
     SpanIdentity,
     WorkloadSpec,
+    closed_loop,
     get_preset,
+    load_policy,
+    load_store,
     read_traces_jsonl,
     save_spec,
+    with_seed,
+    write_traces_jsonl,
 )
+from spanbandit.belief import UPDATE_MODES
 from spanbandit.cli import main
 
 
@@ -874,3 +881,41 @@ def test_tags_rejects_a_flag_it_would_ignore_before_reading_input(tmp_path, caps
     assert rc == 2 and captured.out == ""
     err = json.loads(captured.err)
     assert err["error"] == "ValueError" and named in err["message"]
+
+
+def test_a_hand_written_policy_probability_is_read_and_reported_as_given(tmp_path, capsys):
+    # Policy files are accepted as written, not only as the planner writes
+    # them (max(vital, epsilon)): `simulate --policy` runs hand-written ones.
+    state, policy = tmp_path / "state.json", tmp_path / "policy.json"
+    assert main(["learn", "--in", str(_simulate(tmp_path)), "--state", str(state),
+                 "--policy-out", str(policy)]) == 0
+    doc = json.loads(policy.read_text())
+    row = doc["entries"][0]
+    assert doc["epsilon"] == 0.05
+    row.update(probability=0.01, vitalProbability=0.5)
+    policy.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["report", "--state", str(state), "--policy", str(policy)]) == 0
+    label = SpanIdentity(row["service"], row["operation"], row["url"]).label()
+    line = next(line.split() for line in capsys.readouterr().out.splitlines()[1:] if line.split()[1] == label)
+    # rank, label, vital, probability, posterior mean, and no "eliminated" flag
+    assert line[2:4] == ["0.5000", "0.0100"] and len(line) == 5
+
+
+@pytest.mark.parametrize("mode", UPDATE_MODES)
+@pytest.mark.parametrize("preset", ["social", "rail", "media"])
+def test_the_loop_through_files_and_learn_equals_the_loop_in_memory(tmp_path, capsys, preset, mode):
+    # Each epoch's batch goes through a JSONL file and `learn`, with the
+    # state file carried from epoch to epoch. After every epoch the files
+    # hold the loop's own store and policy: their floats compare with ==,
+    # and none is NaN, so equal is bit-identical.
+    p = get_preset(preset)
+    batch, state, policy = tmp_path / "batch.jsonl", tmp_path / "state.json", tmp_path / "policy.json"
+    epochs = closed_loop(p.topology, p.anomalies, with_seed(p.workload, 3), ControllerConfig(mode=mode))
+    for record in itertools.islice(epochs, 10):
+        write_traces_jsonl(record.traces, str(batch))
+        assert main(["learn", "--in", str(batch), "--state", str(state), "--policy-out", str(policy),
+                     "--mode", mode]) == 0
+        assert load_store(str(state)) == record.store, f"epoch {record.metrics.epoch}"
+        assert load_policy(str(policy)) == record.policy, f"epoch {record.metrics.epoch}"
+    capsys.readouterr()

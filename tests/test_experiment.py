@@ -6,12 +6,14 @@ import pytest
 
 from spanbandit import (
     RunConfig,
+    closed_loop,
     run_experiment,
     run_one,
     sweep,
     write_epoch_rows,
     write_sweep_csv,
 )
+from spanbandit import simulator
 from spanbandit.experiment import synthetic_store
 from spanbandit.version import VERSION
 
@@ -70,13 +72,27 @@ def test_sweep_checks_every_value_before_the_first_run(monkeypatch, param, value
         sweep(FAST, param, values)
 
 
-def test_run_one_deterministic_in_seed():
-    r1 = run_one(FAST, 0)
-    r2 = run_one(FAST, 0)
+def _run_one_and_last_record(monkeypatch, seed):
+    """run_one(FAST, seed) and the last record of the epoch loop it ran."""
+    last = []
+
+    def recorded(*args, **kwargs):
+        for record in closed_loop(*args, **kwargs):
+            last[:] = [record]
+            yield record
+
+    monkeypatch.setattr(simulator, "closed_loop", recorded)
+    return run_one(FAST, seed), last[0]
+
+
+def test_run_one_deterministic_in_seed(monkeypatch):
+    r1, last1 = _run_one_and_last_record(monkeypatch, 0)
+    r2, last2 = _run_one_and_last_record(monkeypatch, 0)
     assert [row.samples_seen for row in r1.rows] == [row.samples_seen for row in r2.rows]
-    assert r1.policy.entries == r2.policy.entries
-    r3 = run_one(FAST, 1)
-    assert r1.policy.entries != r3.policy.entries
+    assert last1.metrics.epoch == FAST.num_epochs
+    assert last1.policy.entries == last2.policy.entries
+    _, last3 = _run_one_and_last_record(monkeypatch, 1)
+    assert last1.policy.entries != last3.policy.entries
 
 
 def test_experiment_result_reach_and_summary():

@@ -1,5 +1,6 @@
 """Synthetic workload generation and the closed control loop."""
 import dataclasses
+import itertools
 import json
 import re
 
@@ -20,6 +21,7 @@ from spanbandit import (
     SpanIdentity,
     TopologySpec,
     WorkloadSpec,
+    closed_loop,
     decompose,
     generate_request,
     get_preset,
@@ -197,17 +199,20 @@ UNKNOWN_TARGETS = (
 
 
 @pytest.mark.parametrize("anomaly", UNKNOWN_TARGETS, ids=anomaly_label)
-def test_closed_loop_rejects_anomaly_naming_no_operation(anomaly):
+def test_closed_loop_rejects_anomaly_naming_no_operation(anomaly, monkeypatch):
     social = get_preset("social")
     workload = WorkloadSpec(num_requests=50, batch_size=10, rng_seed=2)
     with pytest.raises(InvalidTopology, match=re.escape(anomaly_label(anomaly))):
         run_closed_loop(social.topology, (anomaly,), workload, ControllerConfig(),
                         num_epochs=2)
-    # A later phase of a schedule is checked before the first epoch runs.
+    # A later phase of a schedule is checked before the first request is generated.
+    def never(*args, **kwargs):
+        raise AssertionError("a request was generated before the schedule was checked")
+
+    monkeypatch.setattr("spanbandit.simulator.generate_request", never)
     schedule = [(1, social.anomalies), (2, (anomaly,))]
     with pytest.raises(InvalidTopology, match=re.escape(anomaly_label(anomaly))):
-        run_closed_loop(social.topology, schedule, workload, ControllerConfig(),
-                        num_epochs=2)
+        next(closed_loop(social.topology, schedule, workload))
 
 
 @pytest.mark.parametrize("anomaly", UNKNOWN_TARGETS, ids=anomaly_label)
@@ -433,13 +438,25 @@ def test_closed_loop_is_deterministic_up_to_timing():
     controller = ControllerConfig()
 
     def run():
-        return run_closed_loop(preset.topology, preset.anomalies, workload, controller, num_epochs=4)
+        return list(itertools.islice(closed_loop(preset.topology, preset.anomalies, workload, controller), 4))
 
     r1, r2 = run(), run()
-    for a, b in zip(r1.rows, r2.rows):
-        assert dataclasses.replace(a, inference_ms=0.0) == dataclasses.replace(b, inference_ms=0.0)
-    assert r1.policy.entries == r2.policy.entries
-    assert r1.rows[-1].samples_seen == 4 * workload.batch_size
+    for a, b in zip(r1, r2):
+        assert dataclasses.replace(a.metrics, inference_ms=0.0) == dataclasses.replace(b.metrics, inference_ms=0.0)
+    assert r1[-1].policy.entries == r2[-1].policy.entries
+    assert r1[-1].metrics.samples_seen == 4 * workload.batch_size
+
+
+def test_closed_loop_yields_its_live_store_and_each_epochs_batch():
+    preset = get_preset("social")
+    records = list(itertools.islice(closed_loop(preset.topology, preset.anomalies, preset.workload), 3))
+    assert all(r.store is records[0].store for r in records)
+    assert records[-1].store.epoch == 3
+    assert [len(r.traces) for r in records] == [preset.workload.batch_size] * 3
+    assert [r.policy.epoch for r in records] == [1, 2, 3]
+    rows = run_closed_loop(preset.topology, preset.anomalies, preset.workload, num_epochs=3).rows
+    untimed = [dataclasses.replace(row, inference_ms=0.0) for row in rows]
+    assert untimed == [dataclasses.replace(r.metrics, inference_ms=0.0) for r in records]
 
 
 def test_closed_loop_learns_to_watch_the_fault():
