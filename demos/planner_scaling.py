@@ -1,8 +1,14 @@
 """How policy planning cost scales with store size.
 
-The planner builds the Poisson-binomial count over all S identities on
-a fixed grid and divides each identity back out, so its cost grows as
-S^2 times the number of grid bins the count does not already settle.
+In each grid bin that a bound does not already settle, the planner
+builds the Poisson-binomial count of all S identities below it: in
+blocks of PMF_BLOCK identities, one step per identity with every block
+in the same array operations, and then a pairwise convolution of the
+blocks' pmfs, about S^2/2 multiply-adds per bin. It then divides each
+identity back out by a Horner sum over only the rows of the count that
+its pmf does not certify negligible, so each sum takes as many steps as
+that window is wide, not S. At the sizes below, plan time grows about
+linearly in S on synthetic stores, far more slowly than S^2.
 """
 import time
 
@@ -25,7 +31,7 @@ def median_ms(num_identities: int, reps: int = 3) -> float:
 
 def main():
     print(f"{'identities':>10} {'median ms':>10}")
-    for num_identities in (50, 150, 564):
+    for num_identities in (50, 150, 564, 1128, 2256, 4512):
         print(f"{num_identities:>10} {median_ms(num_identities):>10.1f}")
 
 

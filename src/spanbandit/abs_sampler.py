@@ -35,18 +35,18 @@ alpha and beta uniform in [1, 10].
 
 Most grid nodes need no CDF either. The factor
 lead = x^a (1-x)^b / B(a, b), which I_x(a, b) and its mirror
-1 - I_x(a, b) = I_{1-x}(b, a) share, is taken at every node, and it
-bounds both with no continued fraction. The hypergeometric series
-I_x(a, b) = lead/a * sum_n (a+b)_n/(a+1)_n x^n (DLMF 8.17.8) has
-positive terms, each at most r = x max(1, (a+b)/(a+1)) times the one
-before, so lead/a <= I_x(a, b) <= lead/(a(1-r)) when r < 1; the mirror's
-series, with r' = (1-x) max(1, (a+b)/(b+1)), bounds 1 - I_x(a, b) the
-same way. Summed over the identities, these bounds cap mu and S - mu in
-every bin. The bins they settle below and above the undecided band need
-no CDF: a settled-0 bin adds nothing to any vital value, and the
-settled-1 bins above telescope to 1 - F_j at the band's top node. So
-the continued fraction runs once, on the nodes in between: 18-23 of 87
-for the 564 beliefs above.
+1 - I_x(a, b) = I_{1-x}(b, a) share, is taken at every node, as lead/a
+and lead/b, and bounds both with no continued fraction. The
+hypergeometric series I_x(a, b) = lead/a * sum_n (a+b)_n/(a+1)_n x^n
+(DLMF 8.17.8) has positive terms, each at most r = x max(1, (a+b)/(a+1))
+times the one before, so lead/a <= I_x(a, b) <= lead/(a(1-r)) when
+r < 1; the mirror's series, with r' = (1-x) max(1, (a+b)/(b+1)), bounds
+1 - I_x(a, b) the same way. Summed over the identities, these bounds cap
+mu and S - mu in every bin. The bins they settle below and above the
+undecided band need no CDF: a settled-0 bin adds nothing to any vital
+value, and the settled-1 bins above telescope to 1 - F_j at the band's
+top node. So the continued fraction runs once, on the nodes in between:
+18-23 of 87 for the 564 beliefs above.
 
 The grid is GRID_BINS uniform bins over [0, 1], with TAIL_NODES more
 nodes inside each end bin at 1/GRID_BINS raised to the powers
@@ -87,6 +87,8 @@ MAX_CONCENTRATION = 1e6
 # A grid bin whose count below is this unlikely to fall on the other side
 # of m is settled without building its pmf (see _undecided_bins).
 DECIDED_TAIL = 1e-17
+# Identities per block of the count pmf's build (see _count_pmf).
+PMF_BLOCK = 48
 _CF_EPS = 1e-15
 _CF_TINY = 1e-300
 _CF_MAX_STEPS = 10_000
@@ -103,8 +105,18 @@ def _grid() -> tuple[np.ndarray, np.ndarray]:
     )
 
 
+def _logs(x: np.ndarray, x_comp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log x and log(1 - x), each from whichever of x and x_comp = 1 - x is
+    exact: the one at most 1/2, as the grid and beta_cdf's callers keep it.
+    The log of a rounded 1 - x near 1 would be off by up to 100% of itself."""
+    low = x <= 0.5
+    with np.errstate(divide="ignore"):  # log1p(-1) = -inf, on the side not taken
+        log_x = np.where(low, np.log(x), np.log1p(-x_comp))
+        return log_x, np.where(low, np.log1p(-x), np.log(x_comp))
+
+
 _GRID = _grid()
-_LOG_GRID = tuple(np.log(v) for v in _GRID)
+_LOG_GRID = _logs(*_GRID)
 
 
 class EmptyStore(ValueError):
@@ -216,40 +228,52 @@ def _beta_cf(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def beta_cdf(alpha, beta, x, x_comp, lead=None) -> np.ndarray:
+def beta_cdf(alpha, beta, x, x_comp, firsts=None) -> np.ndarray:
     """The regularized incomplete beta I_x(alpha, beta) for 0 < x < 1.
 
     x_comp is 1 - x, passed separately so that x near 1 keeps its
-    precision. Arguments broadcast. `lead` is `_beta_lead` of the same
-    arguments, for a caller that has already taken it; the planner takes
-    it at every grid node, and the fraction at a few. Where
+    precision. Arguments broadcast. `firsts` is `_first_terms` of the same
+    arguments, for a caller that has already taken them; the planner takes
+    them at every grid node, and the fraction at a few. Where
     x > (alpha+1)/(alpha+beta+2) the fraction is evaluated for
     1 - I_{1-x}(beta, alpha), where it converges fast.
     """
     alpha, beta = np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float)
-    if lead is None:
-        lead = _beta_lead(alpha, beta, np.log(x), np.log(x_comp))
+    if firsts is None:
+        firsts = _first_terms(alpha, beta, *_logs(x, x_comp))
     flip = x > (alpha + 1.0) / (alpha + beta + 2.0)
-    a, b, x = (np.where(flip, *pair).ravel() for pair in ((beta, alpha), (alpha, beta), (x_comp, x)))
-    tail = (lead.ravel() / a * _beta_cf(a, b, x)).reshape(flip.shape)
+    first, a, b, x = (
+        np.where(flip, *pair).ravel()
+        for pair in (firsts[::-1], (beta, alpha), (alpha, beta), (x_comp, x))
+    )
+    tail = (first * _beta_cf(a, b, x)).reshape(flip.shape)
     return np.where(flip, 1.0 - tail, tail)
 
 
-def _beta_lead(alpha, beta, log_x, log_xc) -> np.ndarray:
-    """lead = x^alpha (1-x)^beta / B(alpha, beta), the factor that I_x(alpha, beta),
-    its mirror and their series bounds share. log B is taken once per
+def _first_terms(alpha, beta, log_x, log_xc) -> tuple[np.ndarray, np.ndarray]:
+    """lead/alpha and lead/beta, lead = x^alpha (1-x)^beta / B(alpha, beta):
+    the first terms of the series of I_x(alpha, beta) and of its mirror,
+    which beta_cdf and the series bounds share. Each takes its own log
+    normaliser, with log Gamma(alpha+1) (or beta+1) in place of a division
+    by alpha (or beta): a lead below the smallest normal number keeps too
+    few bits to be divided by a tiny parameter. log Gamma(alpha+beta) is
+    paired first with the term that cancels it exactly when the other
+    parameter is below its ulp. The normalisers are taken once per
     (alpha, beta) element before broadcasting against x."""
-    log_norm = _lgamma(alpha + beta) - _lgamma(alpha) - _lgamma(beta)
-    return np.exp(log_norm + alpha * log_x + beta * log_xc)
+    both, power = _lgamma(alpha + beta), alpha * log_x + beta * log_xc
+    return (
+        np.exp((both - _lgamma(beta) - _lgamma(alpha + 1.0)) + power),
+        np.exp((both - _lgamma(alpha) - _lgamma(beta + 1.0)) + power),
+    )
 
 
-def _cdf_bounds(a, b, lead) -> tuple[np.ndarray, np.ndarray]:
+def _cdf_bounds(a, b, firsts) -> tuple[np.ndarray, np.ndarray]:
     """Upper bounds on I_x(a, b) and on 1 - I_x(a, b) at every grid node,
-    from lead alone: the series bound of the module docstring on each,
-    capped by 1 less the other's first term. Each stays accurate where it
-    is tiny."""
+    from the first terms alone: the series bound of the module docstring on
+    each, capped by 1 less the other's first term. Each stays accurate
+    where it is tiny."""
     x, xc = _GRID
-    first, mirror_first = lead / a, lead / b
+    first, mirror_first = firsts
     below = _series_bound(first, x * np.maximum(1.0, (a + b) / (a + 1.0)))
     np.minimum(below, 1.0 - mirror_first, out=below)
     above = _series_bound(mirror_first, xc * np.maximum(1.0, (a + b) / (b + 1.0)))
@@ -265,15 +289,36 @@ def _series_bound(first: np.ndarray, ratio: np.ndarray) -> np.ndarray:
 
 
 def _count_pmf(p: np.ndarray) -> np.ndarray:
-    """pmf[n, g]: the chance that exactly n of the identities in p lie below bin g."""
-    pmf = np.zeros((p.shape[0] + 1, p.shape[1]))
+    """pmf[n, g]: the chance that exactly n of the identities in p lie below bin g.
+
+    The identities are cut into equal blocks of at most PMF_BLOCK, the last
+    padded with p = 0, which adds nothing to a count. Each block's pmf is
+    built one identity at a time, every step's three array operations
+    covering all blocks at once, and the blocks' pmfs are then convolved
+    pairwise, bin by bin. A store of at most PMF_BLOCK identities is one
+    block, built by the plain sequential loop.
+    """
+    s, bins = p.shape
+    blocks = -(-s // PMF_BLOCK)
+    size = -(-s // blocks)
+    padded = np.zeros((blocks * size, bins))
+    padded[:s] = p
+    p = padded.reshape(blocks, size, bins).transpose(1, 0, 2)  # [identity in block, block, bin]
+    pmf = np.zeros((size + 1, blocks, bins))
     pmf[0] = 1.0
     moved = np.empty_like(pmf)
     for i, (p_i, q_i) in enumerate(zip(p, 1.0 - p)):
         np.multiply(pmf[: i + 1], p_i, out=moved[: i + 1])
         pmf[: i + 2] *= q_i
         pmf[1 : i + 2] += moved[: i + 1]
-    return pmf
+    parts = list(pmf.transpose(1, 2, 0))  # one [bin, count] pmf per block
+    while len(parts) > 1:
+        merged = [
+            np.stack([np.convolve(x, y) for x, y in zip(a, b)])
+            for a, b in zip(parts[::2], parts[1::2])
+        ]
+        parts = merged + parts[2 * len(merged) :]
+    return parts[0][:, : s + 1].T
 
 
 def _undecided_bins(below: np.ndarray, above: np.ndarray, s: int, m: int) -> np.ndarray:
@@ -315,11 +360,8 @@ def _others_at_least(p: np.ndarray, m: int) -> np.ndarray:
     p[i, g] is the chance that identity i lies below bin g. Bins that
     `_undecided_bins` settles get 0 or 1. In the rest, the
     Poisson-binomial pmf of the count below is built over all S
-    identities, as the bin-by-bin convolution of its two halves' pmfs
-    (half the cost of one pass over all S); identity j is then divided
-    back out by a Horner sum, forward over the pmf's prefix sums where
-    p <= 1/2 and backward over its suffix sums where p > 1/2, each the
-    numerically stable direction.
+    identities in blocks (`_count_pmf`), and identity j is divided back
+    out by a Horner sum over the pmf's certified window (`_divided_out`).
     """
     below = p.sum(axis=0)
     undecided = _undecided_bins(below, (1.0 - p).sum(axis=0), p.shape[0], m)
@@ -329,29 +371,56 @@ def _others_at_least(p: np.ndarray, m: int) -> np.ndarray:
     return tails
 
 
+def _window(pmf: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """The count's P(N <= n) and P(N >= n) in every bin, rows n = 0 .. S,
+    and the window [lo, hi] outside which neither exceeds DECIDED_TAIL/(2S)
+    in any bin: P(N <= lo-1) and P(N >= hi+1) are at most that. Both are
+    sums of positive terms, exact to a few ulps however small."""
+    s = pmf.shape[0] - 1
+    at_most = np.cumsum(pmf, axis=0)
+    at_least = np.cumsum(pmf[::-1], axis=0)[::-1]
+    tail = DECIDED_TAIL / (2 * s)
+    lo = int(np.count_nonzero(at_most.max(axis=1) <= tail))
+    hi = s - int(np.count_nonzero(at_least.max(axis=1) <= tail))
+    return at_most, at_least, lo, hi
+
+
 def _divided_out(p: np.ndarray, m: int) -> np.ndarray:
-    """`_others_at_least` in every bin of p, by the pmf and the Horner sums."""
-    s = p.shape[0]
-    q = 1.0 - p
-    low, high = _count_pmf(p[: s // 2]), _count_pmf(p[s // 2 :])
-    pmf = np.stack([np.convolve(low[:, g], high[:, g]) for g in range(p.shape[1])], axis=1)
-    forward = p <= 0.5
-    q_fwd = np.where(forward, q, 1.0)
-    p_bwd = np.where(forward, 1.0, p)
+    """`_others_at_least` in every bin of p, by the pmf and the Horner sums.
 
-    ratio = np.where(forward, -p / q_fwd, 0.0)
-    acc = np.zeros_like(p)
-    for at_most in np.cumsum(pmf[:m], axis=0):  # P(N <= n), n = 0 .. m-1
-        acc *= ratio
-        acc += at_most
-    fewer = acc / q_fwd  # P(others < m), read where forward
+    With N the count of all S identities below a bin and N_-j the count
+    without j, each identity is divided back out of N (Hong 2013, CSDA 59)
+    in the numerically stable direction:
+    P(N_-j <= m-1) = sum_{n < m} P(N <= n) r^(m-1-n) / q_j, r = -p_j/q_j,
+    where p_j <= 1/2, and
+    P(N_-j >= m) = sum_{n > m} P(N >= n) r^(n-m-1) / p_j, r = -q_j/p_j,
+    elsewhere; each element runs in its own sum only. Both sums skip the
+    rows outside `_window`: each of the at most S terms dropped is at most
+    DECIDED_TAIL/(2S), |r| <= 1 and q_j (or p_j) >= 1/2, so a result moves
+    by at most DECIDED_TAIL. Each result is then clipped into
+    P(N >= m+1) <= P(N_-j >= m) <= P(N >= m), which 1 - P(N_-j <= m-1)
+    would otherwise miss by up to S ulps where both bounds are tiny.
+    """
+    at_most, at_least, lo, hi = _window(_count_pmf(p))
+    out = np.empty_like(p)
+    i, g = np.nonzero(p <= 0.5)
+    p_j = p[i, g]
+    q_j = 1.0 - p_j
+    out[i, g] = 1.0 - _horner(at_most[lo:m], -p_j / q_j, g) / q_j
+    i, g = np.nonzero(p > 0.5)
+    p_j = p[i, g]
+    out[i, g] = _horner(at_least[hi:m:-1], -(1.0 - p_j) / p_j, g) / p_j
+    return np.clip(out, at_least[m + 1], np.minimum(at_least[m], 1.0))
 
-    ratio = np.where(forward, 0.0, -q / p_bwd)
-    acc = np.zeros_like(p)
-    for at_least in np.cumsum(pmf[s:m:-1], axis=0):  # P(N >= n), n = S .. m+1
+
+def _horner(sums: np.ndarray, ratio: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """sum_k sums[k, g] ratio^(K-1-k) for each element, by Horner's rule;
+    g is each element's bin."""
+    acc = np.zeros_like(ratio)
+    for row in sums:
         acc *= ratio
-        acc += at_least
-    return np.clip(np.where(forward, 1.0 - fewer, acc / p_bwd), 0.0, 1.0)
+        acc += row[g]
+    return acc
 
 
 def _shrunk(alphas: np.ndarray, betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -370,13 +439,13 @@ def _unscaled_vital(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
     edges, and P(at least m others below) is weighted by j's mass in the
     bin; the settled-1 bins above add j's mass above them, 1 - F_j.
     """
-    lead = _beta_lead(a, b, *_LOG_GRID)
-    start, stop = _open_bins(*_cdf_bounds(a, b, lead), m)
+    firsts = _first_terms(a, b, *_LOG_GRID)
+    start, stop = _open_bins(*_cdf_bounds(a, b, firsts), m)
     nodes = slice(max(start - 1, 0), min(stop, _GRID[0].size))
     cdf = np.zeros((a.size, _GRID[0].size + 2))
     cdf[:, -1] = 1.0
     cdf[:, nodes.start + 1 : nodes.stop + 1] = beta_cdf(
-        a, b, _GRID[0][nodes], _GRID[1][nodes], lead[:, nodes]
+        a, b, _GRID[0][nodes], _GRID[1][nodes], [f[:, nodes] for f in firsts]
     )
     block = cdf[:, start : stop + 1]
     p = 0.5 * (block[:, :-1] + block[:, 1:])

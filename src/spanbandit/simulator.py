@@ -596,10 +596,13 @@ def closed_loop(
     `anomalies` is either a flat anomaly sequence or a schedule of
     (start_epoch, anomalies) pairs for mid-run shifts; every phase is
     checked when the first epoch is asked for, before its first request.
-    Each epoch issues requests until batch_size traces are sampled,
-    updates beliefs with the batch utilities, and publishes the next
-    sampling policy. Epoch k depends on no later epoch, so a caller may
-    stop at any epoch.
+    Each epoch issues requests until batch_size traces are sampled (or
+    its attempt cap is hit), updates beliefs with the batch utilities,
+    and publishes the next sampling policy. Of the workload, only
+    batch_size, request_sampling_rate and rng_seed are read:
+    `num_requests` bounds the open-loop `simulate_workload`, not this
+    loop, which runs for as many epochs as its caller asks for. Epoch k
+    depends on no later epoch, so a caller may stop at any epoch.
     """
     flat = list(anomalies)
     if flat and isinstance(flat[0], tuple):

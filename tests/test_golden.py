@@ -47,15 +47,15 @@ GOLDEN = {
     "decompose-lenient-orphans": "6f54411e6fbce1c58271ec3b9474a2d2b32e4d39358025834beb618ecd7f3d9c",
     "decompose-social-thinned": "4590f40367bf62527dfb0fd595aab0a32184ef2e763eb19fb82dda3c9301dd6e",
     "experiment-csv": "05e2dccba4c97a67a45acf4565c7059b36ce3ac35e7875847fe548307cb84eab",
-    "experiment-summary": "3f7c6f306ca38551989af123ae1bc9e72c0d284cec713cecd366314fc3a0bd68",
-    "experiment-sweep": "94d5f388b152e6819aa797038e41374b5f6405af7a9d47f7e3039ad24389bce0",
+    "experiment-summary": "52dd088a9c6b74350529dc2deace1236d159aeb7670a2c69e1681d6572799406",
+    "experiment-sweep": "442915150628ea11b36a6b0229520511e1c27ec565695e5eee861492b5dbd554",
     "experiment-sweep-csv": "dc79f79aafb219eebed2f6f0b53a9cb8f499a12e47a38bfa8b4c99a522f5e687",
-    "learn-policy": "e330cb0ab783e20047b5e6540b68247ab67b983e8710ee23c381b45c6ff2cb4b",
+    "learn-policy": "ec965ebc3d9a201fa2a6af57fd88560ce07e3fa8b50229cee88b9081ea575593",
     "learn-state": "e760e98cd52c9040497cdc7a4312af3e16af4969b201ecbbc9622b29dfae7637",
     "learn-summary": "12835d016a3b7b1267cda210c8db1e7c62fb2046acc58060b8b16507dc8d0cec",
     "relearn-state": "09b9ee3d65f7a960596802db611131c0b54a72f5f417bb3e9b77af533c6d4ac5",
-    "run_one-social": "dc1241e2379a76e3e0ae87ac6ad338548cd8a6ffecdd467a21fa97da8faa9422",
-    "shift_anomaly-social": "e9f031f78b1519bb65e02dab94ff81a2fd228a2885346783961ca6c897bdbb9c",
+    "run_one-social": "81d352efe2a190c9fdd44413a3f523de30d1e1dd0caa552f2e9e4284146a030c",
+    "shift_anomaly-social": "1b571dc34a0f9a93577c0061b366a0218791fe9721eea1e8b1975f3da475adcb",
     "simulate-media": "56629c66ef8792ddddc136260145b1690c753f5b4a5ad6fc79466fdb5cb68fc8",
     "simulate-media-canary": "e5ad39b3783826e14323259c12ba81736da99289748b4c619efbedc2843dffe2",
     "simulate-mixed-spec": "666cbc85509316ebd7fa56afaa6d1827668c688d5a9f2b9fd7724533b357d8d4",
@@ -94,11 +94,11 @@ PLANNER_CASES = {
 }
 
 PLANNER_GOLDEN = {
-    "plan-12x3-p50": "d95e1f1edacc04b2c5522b46a29cf7c2f7f3ce170e2e078c5c171102d1730752",
+    "plan-12x3-p50": "393b3f00fa9192510dafead9344a0c92821fec0dd1128b152a45ba33249b86e0",
     "plan-1x1000": "b8dc169d89228d3c6ee2a267ec0b6c14cba169f0278ec3f6e197e72de99fb69f",
-    "plan-3-all-bins-open-p75": "a249d1b084e4e58a65123c306b1a7b3c5d6c77082b2dab874d072fd8c44c0409",
-    "plan-564x10000-p75": "093478f8e7dd76cd455df294fa33706745b6d22f19b15a8441c199d68c414b11",
-    "plan-7x999-p100": "2ff5a579c86f2850b482c871a9ae8d885627f45234ffa00abdaeaf23f05e5b53",
+    "plan-3-all-bins-open-p75": "dd3477c6558af57f9fc65d014ec2a27c6e5f33190b4df70965d7275ed919cb0d",
+    "plan-564x10000-p75": "cd589a6bc5ca2c23f8ea0e7191a0eb40b5ae804e062dbbac300505a9b8592a0e",
+    "plan-7x999-p100": "b4922573a19e6972e370f19bd30a0e08f82983e0f4e674d36009597a245a38ac",
 }
 
 # Contention, random delay and canary routing at once, head-sampled: the

@@ -24,15 +24,24 @@ per term, so in every settled bin its tails must lie within
 max(1e-15, S ulps) of the 0 or 1 assigned; the exact count pmf, a sum
 of positive terms, must place each settled bin within DECIDED_TAIL of
 it. The open bins must hold every bin the copy leaves undecided, and
-the CDF bounds must hold beta_cdf at every node, for alpha and beta
-log-uniform in [1e-9, 1e6] and for sums that MAX_CONCENTRATION shrinks.
+the CDF bounds must hold beta_cdf, and beta_cdf must lie in [0, 1], at
+every node, for alpha and beta log-uniform in [1e-9, 1e6] and for sums
+that MAX_CONCENTRATION shrinks.
+
+The division of each identity out of the count is checked on its own.
+Every tail, in every bin, must lie in its exact bracket
+P(N >= m+1) <= P(N_-j >= m) <= P(N >= m); the rows that its window
+drops must hold at most DECIDED_TAIL/(2S) of the exact pmf per tail;
+and on stores of at most 10 identities it must agree within 1e-14 with
+leave-one-out counts in exact rational arithmetic.
 """
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spanbandit import abs_sampler
@@ -244,8 +253,8 @@ def _rescaled(raw, m):
 
 
 def _open_bins(a, b, m):
-    lead = abs_sampler._beta_lead(a, b, *abs_sampler._LOG_GRID)
-    return abs_sampler._open_bins(*abs_sampler._cdf_bounds(a, b, lead), m)
+    firsts = abs_sampler._first_terms(a, b, *abs_sampler._LOG_GRID)
+    return abs_sampler._open_bins(*abs_sampler._cdf_bounds(a, b, firsts), m)
 
 
 def _plan_both(kind, size, seed, percentile):
@@ -318,6 +327,92 @@ def test_settled_bins_are_settled_by_the_full_path_and_the_exact_pmf(kind, size,
     assert np.all(far[settled] < abs_sampler.DECIDED_TAIL)
 
 
+def _assert_in_bracket(p, m):
+    """Every tail of the planner's division, taken in every bin, lies in
+    P(N >= m+1) <= P(N_-j >= m) <= P(N >= m), from the exact pmf, to a
+    relative 1e-12 (its own pmf is a blocked build of the same sums) and
+    the smallest normal number (below it, subnormals keep fewer bits)."""
+    at_least = np.cumsum(_pmf(p)[::-1], axis=0)[::-1]
+    tails = abs_sampler._divided_out(p, m)
+    tiny = np.finfo(float).tiny
+    assert np.all(tails <= at_least[m] * (1 + 1e-12) + tiny)
+    assert np.all(tails >= at_least[m + 1] * (1 - 1e-12) - tiny)
+
+
+@_on_random_stores
+def test_each_divided_out_tail_lies_in_its_exact_bracket(kind, size, seed, percentile):
+    _, _, _, m, cdf = _all_nodes(_random_store(kind, size, seed), percentile)
+    _assert_in_bracket(0.5 * (cdf[:, :-1] + cdf[:, 1:]), m)
+
+
+def test_a_tail_whose_bracket_is_tiny_stays_tiny():
+    # 589 identical Beta(2, 5) beliefs at P = 87.8, so m = 517. Where
+    # P(N >= m) < 1e-17, 1 - P(N_-j <= m-1) once read up to 3.2e-14.
+    _, _, _, m, cdf = _all_nodes(_store([(2.0, 5.0)] * 589), 87.8)
+    p = 0.5 * (cdf[:, :-1] + cdf[:, 1:])
+    assert m == 517 and np.any(np.cumsum(_pmf(p)[::-1], axis=0)[m] < 1e-17)
+    _assert_in_bracket(p, m)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["flip-in-band", "max-concentration"]),
+    size=st.integers(2, 700),
+    seed=st.integers(0, 2**32 - 1),
+    percentile=_percentile,
+)
+@example(kind="flip-in-band", size=564, seed=6, percentile=75.0)
+@example(kind="max-concentration", size=700, seed=4, percentile=50.0)
+def test_each_window_drops_at_most_its_share_of_the_decided_tail(kind, size, seed, percentile):
+    _, _, _, m, cdf = _all_nodes(_random_store(kind, size, seed), percentile)
+    p = 0.5 * (cdf[:, :-1] + cdf[:, 1:])
+    undecided = abs_sampler._undecided_bins(p.sum(axis=0), (1.0 - p).sum(axis=0), size, m)
+    assume(undecided.any())
+    p = p[:, undecided]
+    at_most, at_least, lo, hi = abs_sampler._window(abs_sampler._count_pmf(p))
+    share = abs_sampler.DECIDED_TAIL / (2 * size)
+    # The mass outside the window, summed from the exact one-at-a-time pmf.
+    pmf = _pmf(p)
+    assert np.max(pmf[:lo].sum(axis=0), initial=0.0) <= share * (1 + 1e-12)
+    assert np.max(pmf[hi + 1 :].sum(axis=0), initial=0.0) <= share * (1 + 1e-12)
+    # And the window is the narrowest that the planner's own sums certify.
+    assert at_most[lo].max() > share and at_least[hi].max() > share
+
+
+def _exact_others_at_least(p, m):
+    """P(N_-j >= m) for every identity j and bin, in exact rational
+    arithmetic on the floats that p holds: the pmf of the identities
+    before j against the tail sums of the pmf of those after it."""
+
+    def pmfs(ps):
+        out = [[Fraction(1)]]
+        for p_i in ps:
+            prev = out[-1]
+            out.append([a * (1 - p_i) + b * p_i for a, b in zip(prev + [0], [0] + prev)])
+        return out
+
+    s = p.shape[0]
+    tails = np.empty_like(p)
+    for g, column in enumerate(p.T.tolist()):
+        ps = [Fraction(v) for v in column]
+        before, after = pmfs(ps), pmfs(ps[::-1])
+        for j in range(s):
+            right = after[s - 1 - j]
+            at_least = [sum(right[n:]) for n in range(len(right))] + [0]
+            tails[j, g] = float(sum(
+                left * at_least[min(max(m - a, 0), len(right))] for a, left in enumerate(before[j])
+            ))
+    return tails
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(params=st.lists(st.tuples(_param, _param), min_size=1, max_size=10), percentile=_percentile)
+def test_divided_out_agrees_with_exact_rational_leave_one_out(params, percentile):
+    _, _, _, m, cdf = _all_nodes(_store(params), percentile)
+    p = 0.5 * (cdf[:, :-1] + cdf[:, 1:])
+    assert np.max(np.abs(abs_sampler._divided_out(p, m) - _exact_others_at_least(p, m))) <= 1e-14
+
+
 def test_a_count_whose_mean_rounds_to_s_is_not_settled():
     # Two of ten identities lie below the bin but for 6 and 7 half-ulps of
     # 1: their mean rounds to S = 10, yet with m = 9 the far side
@@ -370,12 +465,15 @@ _beliefs = st.lists(
 @example(params=[(1e-9, 1e-9), (1e6, 1e6), (1.7e308, 1e-9), (1e-9, 1.7e308), (1e-9, 1e6)])
 def test_cdf_bounds_bracket_beta_cdf_at_every_node(params):
     a, b = abs_sampler._shrunk(*np.array(params).T)
-    below, above = abs_sampler._cdf_bounds(a, b, abs_sampler._beta_lead(a, b, *abs_sampler._LOG_GRID))
+    firsts = abs_sampler._first_terms(a, b, *abs_sampler._LOG_GRID)
+    below, above = abs_sampler._cdf_bounds(a, b, firsts)
     cdf = abs_sampler.beta_cdf(a, b, *abs_sampler._GRID)
-    # beta_cdf carries the grid's roundoff: a node's 1 - x is rounded to an
-    # ulp of 1, which moves log lead by up to (a + b) such ulps, and a CDF
-    # near 1 is itself rounded to an ulp of 1.
+    # beta_cdf carries log Gamma's roundoff: log Gamma(a + b) is near 1.3e7
+    # for a + b = 1e6, so one ulp of it, 1.9e-9, moves a first term by as
+    # much relative to itself, about 8 (a + b) ulps of 1; and a CDF near 1
+    # is itself rounded to an ulp of 1. F must also lie in [0, 1].
     eps = np.finfo(float).eps
     rel = 8 * abs_sampler.MAX_CONCENTRATION * eps
     assert np.all(cdf <= below * (1 + rel) + 2 * eps)
     assert np.all(1.0 - cdf <= above * (1 + rel) + 2 * eps)
+    assert np.all((0.0 <= cdf) & (cdf <= 1.0))

@@ -434,7 +434,7 @@ def test_two_contention_windows_on_one_service_report_apart():
 
 def test_closed_loop_is_deterministic_up_to_timing():
     preset = get_preset("media")
-    workload = dataclasses.replace(preset.workload, num_requests=10_000)
+    workload = preset.workload
     controller = ControllerConfig()
 
     def run():
@@ -461,7 +461,7 @@ def test_closed_loop_yields_its_live_store_and_each_epochs_batch():
 
 def test_closed_loop_learns_to_watch_the_fault():
     preset = get_preset("media")
-    workload = dataclasses.replace(preset.workload, num_requests=100_000)
+    workload = preset.workload
     controller = ControllerConfig()
     result = run_closed_loop(preset.topology, preset.anomalies, workload, controller, num_epochs=8)
     assert result.rows[-1].faulty_probability > 0.9
