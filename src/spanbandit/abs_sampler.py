@@ -92,7 +92,10 @@ PMF_BLOCK = 48
 _CF_EPS = 1e-15
 _CF_TINY = 1e-300
 _CF_MAX_STEPS = 10_000
-_lgamma = np.vectorize(math.lgamma, otypes=[float])
+
+
+def _lgamma(x: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(math.lgamma, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
 def _grid() -> tuple[np.ndarray, np.ndarray]:

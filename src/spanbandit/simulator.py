@@ -7,11 +7,11 @@ duration is exactly self time plus the waiting implied by that layout.
 Decomposing a generated trace therefore recovers the configured self
 times without error, which makes ground truth checkable.
 
-Each request is one pre-order walk that draws every operation and lays
-out its stages into a flat span list, then one loop over that list that
-makes the recording decisions. The trace is valid by construction, so
-its recorded rows go to `trace_from_rows`, which lays them out in
-preorder, and are not re-validated through `build_trace`.
+A topology is expanded once into the span tree of a fully traced request
+(`TopologySpec.tree`). Each request draws its spans in preorder, lays them
+out bottom-up and records them in preorder, in flat loops, so any depth
+simulates. The trace is valid by construction, so its recorded rows go to
+`trace_from_rows` and are not re-validated through `build_trace`.
 
 Sampling policies act at span granularity. A span whose recording
 decision fails is *not* free: the work still happens, the span is simply
@@ -27,8 +27,9 @@ import json
 import math
 import numbers
 import time
+from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -120,18 +121,6 @@ class OperationSpec:
     identity: SpanIdentity
     base: LatencyModel
     calls: tuple[CallSpec, ...] = ()
-    # The callees grouped as they run: a sequential call opens a stage, and a
-    # parallel call joins the stage before it.
-    stages: tuple[tuple[SpanIdentity, ...], ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        stages: list[list[SpanIdentity]] = []
-        for call in self.calls:
-            if not stages or call.mode == "sequential":
-                stages.append([call.callee])
-            else:
-                stages[-1].append(call.callee)
-        object.__setattr__(self, "stages", tuple(map(tuple, stages)))
 
 
 @dataclass(frozen=True)
@@ -146,20 +135,32 @@ class ServiceTagSpec:
         _check_fields(self, text=("service", "key", "values"))
 
 
+class SpanNode(NamedTuple):
+    """One span of a fully traced request, with its parent's index (-1 for
+    the root) and its children's, grouped into stages as they run: a
+    sequential call opens a stage, and a parallel call joins the one before."""
+
+    op: OperationSpec
+    parent: int
+    children: tuple[tuple[int, ...], ...]
+
+
 @dataclass(frozen=True)
 class TopologySpec:
-    """A call DAG over operation identities, expanded to a tree per request.
+    """A call DAG over operation identities, expanded once into a span tree.
 
     An identity may be the callee of several call sites (and of repeated
     call sites); each site becomes its own span instance. The graph must
-    be acyclic and every callee must be declared. `ops` indexes the
-    operations by identity.
+    be acyclic and every callee must be declared. `tree` holds one
+    `SpanNode` per span of a fully traced request, in preorder. It is
+    expanded at load on an explicit stack, so any depth loads, and an
+    astronomically large request stalls here.
     """
 
     root: SpanIdentity
     operations: tuple[OperationSpec, ...]
     service_tags: tuple[ServiceTagSpec, ...] = ()
-    ops: dict[SpanIdentity, OperationSpec] = field(init=False, repr=False, compare=False)
+    tree: tuple[SpanNode, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         ops = {op.identity: op for op in self.operations}
@@ -175,36 +176,35 @@ class TopologySpec:
                     raise InvalidTopology(
                         f"{op.identity.label()} calls undeclared {call.callee.label()}"
                     )
-        object.__setattr__(self, "ops", ops)
-        # DFS coloring over the identity graph to reject call cycles.
-        color: dict[SpanIdentity, int] = {}
-
-        def visit(identity: SpanIdentity) -> None:
-            if color.get(identity) == 1:
-                raise InvalidTopology(f"call cycle through {identity.label()}")
-            if color.get(identity) == 2:
-                return
-            color[identity] = 1
-            for call in ops[identity].calls:
-                visit(call.callee)
-            color[identity] = 2
-
-        visit(self.root)
+        # Depth-first, one stack frame (span index, calls left) per span on
+        # the current path; a callee already on the path closes a cycle.
+        nodes = [SpanNode(ops[self.root], -1, [])]
+        path, stack = {self.root}, [(0, iter(ops[self.root].calls))]
+        while stack:
+            index, calls = stack[-1]
+            call = next(calls, None)
+            if call is None:
+                stack.pop()
+                path.remove(nodes[index].op.identity)
+                continue
+            if call.callee in path:
+                raise InvalidTopology(f"call cycle through {call.callee.label()}")
+            children = nodes[index].children
+            if call.mode == "sequential" or not children:
+                children.append([])
+            children[-1].append(len(nodes))
+            path.add(call.callee)
+            stack.append((len(nodes), iter(ops[call.callee].calls)))
+            nodes.append(SpanNode(ops[call.callee], index, []))
+        tree = tuple(node._replace(children=tuple(map(tuple, node.children))) for node in nodes)
+        object.__setattr__(self, "tree", tree)
 
     def identities(self) -> tuple[SpanIdentity, ...]:
         return tuple(op.identity for op in self.operations)
 
     def occurrence_counts(self) -> dict[SpanIdentity, int]:
-        """Span instances per identity in one fully-traced request."""
-        counts: dict[SpanIdentity, int] = {}
-
-        def walk(identity: SpanIdentity, mult: int) -> None:
-            counts[identity] = counts.get(identity, 0) + mult
-            for call in self.ops[identity].calls:
-                walk(call.callee, mult)
-
-        walk(self.root, 1)
-        return counts
+        """Span instances per identity in one fully-traced request, in preorder of first use."""
+        return Counter(node.op.identity for node in self.tree)
 
 
 @dataclass(frozen=True)
@@ -305,7 +305,7 @@ def faulty_identities(
     out: set[SpanIdentity] = set()
     for a in anomalies:
         if isinstance(a, RandomDelayAnomaly):
-            targets = [a.target] if a.target in topology.ops else []
+            targets = [a.target] if a.target in topology.identities() else []
         else:
             targets = [i for i in topology.identities() if i.service == a.service]
         if not targets:
@@ -373,7 +373,7 @@ def generate_request(
 
     An empty or None policy records every span. The generator consumes
     randomness in a fixed order (head sampling, canary routing, service
-    tags, then the call tree in declaration order), and recording
+    tags, then every span of `topology.tree` in preorder), and recording
     decisions come from a stream forked off at the end, so the same rng
     seed produces identical latencies under any policy.
     """
@@ -393,13 +393,12 @@ def generate_request(
         if ground_truth is not None:
             ground_truth.activations.setdefault(labels[i], []).append(request_index)
 
-    # Pre-order list of [identity, parent index, start, duration, self, tags].
-    spans: list[list] = []
-
-    def walk(identity: SpanIdentity, parent: int | None, start_us: int) -> int:
-        # Draws one operation and returns its duration; its self time splits
-        # into gaps before, between and after its stages.
-        op = topology.ops[identity]
+    # Draw every span's self time and tags, in preorder.
+    tree = topology.tree
+    self_times: list[int] = []
+    span_tags: list[dict[str, str]] = []
+    for op, _, _ in tree:
+        identity = op.identity
         base = op.base.draw(rng)
         for i, a in enumerate(anomalies):
             if isinstance(a, ContentionAnomaly) and a.service == identity.service:
@@ -420,56 +419,49 @@ def generate_request(
                     fired(i)
                 else:
                     tags[a.tag_key] = a.stable_value
-        span = [identity, parent, start_us, 0, self_us, tags]
-        index = len(spans)
-        spans.append(span)
-        gap, rem = divmod(self_us, len(op.stages) + 1)
-        t = start_us + gap + (rem > 0)
-        for i, stage in enumerate(op.stages, 1):
-            t += max([walk(callee, index, t) for callee in stage]) + gap + (i < rem)
-        span[3] = t - start_us
-        return span[3]
+        self_times.append(self_us)
+        span_tags.append(tags)
 
-    walk(topology.root, None, 0)
-    if spans[0][3] >= SPAN_TIME_LIMIT_US:  # each draw fits, but their sum, the root's end, may not
-        raise InvalidTopology(f"{topology.root.label()} has a duration of {spans[0][3]} us, past 2**62")
+    # Bottom-up: each span's duration, and each child's offset in its parent;
+    # self time splits into gaps before, between and after the stages.
+    durations, offsets = [0] * len(tree), [0] * len(tree)
+    for index in range(len(tree) - 1, -1, -1):
+        stages = tree[index].children
+        gap, rem = divmod(self_times[index], len(stages) + 1)
+        t = gap + (rem > 0)
+        for i, stage in enumerate(stages, 1):
+            for child in stage:
+                offsets[child] = t
+            t += max([durations[child] for child in stage]) + gap + (i < rem)
+        durations[index] = t
+    if durations[0] >= SPAN_TIME_LIMIT_US:  # each draw fits, but their sum, the root's end, may not
+        raise InvalidTopology(f"{topology.root.label()} has a duration of {durations[0]} us, past 2**62")
 
     # Recording decisions on a forked stream: policy choices cannot perturb
     # the latency draws above. A dropped span's children attach to its
     # nearest recorded ancestor; the root is always recorded.
     rec_rng = np.random.Generator(np.random.PCG64(int(rng.integers(2**63))))
-    span_ids: list[str] = []
-    parents: list[int] = []
-    identities: list[SpanIdentity] = []
-    starts: list[int] = []
-    durations: list[int] = []
-    recorded_tags: dict[int, dict[str, str]] = {}
-    attach_to: list[int] = []  # per walked span: its row if recorded, else its parent's
-    for identity, parent, start_us, duration_us, self_us, tags in spans:
-        parent_row = -1 if parent is None else attach_to[parent]
-        if parent is not None:
-            p = policy.probability(identity) if policy is not None else 1.0
+    kept: list[int] = []  # the recorded spans' indices, one per row
+    attach_to: list[int] = []  # per span: its row if recorded, else its parent's
+    for index, (op, parent, _) in enumerate(tree):
+        if parent >= 0:
+            offsets[index] += offsets[parent]  # a start now, as the parent's already is
+            p = policy.probability(op.identity) if policy is not None else 1.0
             if not rec_rng.random() < p:
-                attach_to.append(parent_row)
+                attach_to.append(attach_to[parent])
                 continue
-        row = len(span_ids)
-        span_id = f"s{row:04d}"
-        attach_to.append(row)
-        if self_times_out is not None:
-            # The drawn self time; under a thinning policy the decomposed
-            # self segment of a recorded span may exceed it by whatever
-            # dropped descendants left uncovered.
-            self_times_out[span_id] = self_us
-        span_ids.append(span_id)
-        parents.append(parent_row)
-        identities.append(identity)
-        starts.append(start_us)
-        durations.append(duration_us)
-        if tags:
-            recorded_tags[row] = tags
+        attach_to.append(len(kept))
+        kept.append(index)
+    span_ids = [f"s{row:04d}" for row in range(len(kept))]
+    if self_times_out is not None:
+        # The drawn self times; under thinning, a recorded span's decomposed self
+        # segment may exceed its own by what dropped descendants left uncovered.
+        self_times_out.update(zip(span_ids, [self_times[i] for i in kept]))
     # Valid by construction: one root, every parent recorded before its children.
     return trace_from_rows(
-        f"t{request_index:07d}", span_ids, parents, identities, starts, durations, recorded_tags
+        f"t{request_index:07d}", span_ids, [-1] + [attach_to[tree[i].parent] for i in kept[1:]],
+        [tree[i].op.identity for i in kept], [offsets[i] for i in kept], [durations[i] for i in kept],
+        {row: span_tags[i] for row, i in enumerate(kept) if span_tags[i]},
     )
 
 

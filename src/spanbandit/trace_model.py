@@ -131,6 +131,9 @@ class SpanRecord:
             raise TraceError(_time_problem("durationUs", self.duration_us))
         if not isinstance(self.tags, dict):
             raise TraceError(f"tags must be an object, got {self.tags!r}")
+        for key, value in self.tags.items():  # a number, boolean or null reads as its str()
+            if isinstance(value, (dict, list)):
+                raise TraceError(f"tag {key!r} must be a string, number, boolean or null, got {value!r}")
 
 
 def _time_problem(key: str, value) -> str:

@@ -919,3 +919,47 @@ def test_the_loop_through_files_and_learn_equals_the_loop_in_memory(tmp_path, ca
         assert load_store(str(state)) == record.store, f"epoch {record.metrics.epoch}"
         assert load_policy(str(policy)) == record.policy, f"epoch {record.metrics.epoch}"
     capsys.readouterr()
+
+
+def test_simulate_spec_of_a_2000_deep_chain(tmp_path, capsys):
+    # Nothing recurses per call level, so any depth loads and simulates.
+    depth = 2000
+    ops = [
+        {"service": f"svc{i}", "operation": "op", "muLog": 4.6, "sigmaLog": 0.1,
+         "calls": [{"service": f"svc{i + 1}", "operation": "op"}] if i + 1 < depth else []}
+        for i in range(depth)
+    ]
+    spec, out = tmp_path / "chain.json", tmp_path / "chain.jsonl"
+    spec.write_text(json.dumps({"topology": {"root": {"service": "svc0", "operation": "op"}, "operations": ops}}))
+    assert main(["simulate", "--spec", str(spec), "--requests", "2", "--out", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out)["traces"] == 2
+    assert [len(t) for t in read_traces_jsonl(str(out))] == [depth, depth]
+
+
+# One tag value per JSON type: a string, number, boolean or null reads as
+# its str(); an object or a list is refused, naming the line and the key.
+TAG_VALUES = [("eu", True), (7, True), (2.5, True), (True, True), (None, True), ({"a": 1}, False), ([1], False)]
+
+
+@pytest.mark.parametrize("value, read", TAG_VALUES, ids=["string", "integer", "float", "boolean", "null", "object", "list"])
+def test_a_tag_value_of_each_json_type_is_read_or_refused(tmp_path, capsys, value, read):
+    lines = _simulate(tmp_path, preset="social", requests=100).read_text().splitlines(keepends=True)
+    obj = json.loads(lines[1])
+    obj["tags"] = {**obj.get("tags", {}), "zone": value}
+    lines[1] = json.dumps(obj) + "\n"
+    path = tmp_path / "tagged.jsonl"
+    path.write_text("".join(lines))
+    capsys.readouterr()
+    for argv in (["learn", "--in", str(path), "--state", str(tmp_path / "state.json")],
+                 ["tags", "--in", str(path), "--json"]):
+        rc = main(argv)
+        captured = capsys.readouterr()
+        if read:
+            assert rc == 0, captured.err
+        else:
+            assert rc == 2 and captured.out == ""
+            err = json.loads(captured.err)
+            assert err["error"] == "TraceFormatError"
+            assert "line 2" in err["message"] and "'zone'" in err["message"]
+    if read:
+        assert read_traces_jsonl(str(path))[0].tags[1]["zone"] == str(value)

@@ -72,6 +72,41 @@ def test_preset_occurrence_counts():
     assert media[SpanIdentity("video-db", "find-batch")] == 2
 
 
+def test_tree_holds_each_span_in_preorder_with_its_parent_and_stages():
+    tree = _topology().tree
+    assert [node.op.identity for node in tree] == [ROOT, MID, LEAF, LEAF, MID, LEAF, LEAF, SIDE]
+    assert [node.parent for node in tree] == [-1, 0, 1, 1, 0, 4, 4, 0]
+    # ROOT: MID, then MID with SIDE beside it; each MID: LEAF, then LEAF.
+    assert [node.children for node in tree] == [
+        ((1,), (4, 7)), ((2,), (3,)), (), (), ((5,), (6,)), (), (), (),
+    ]
+
+
+def _chain(depth, closed=False):
+    """A sequential chain of `depth` operations; `closed` makes the last call the first."""
+    ids = [SpanIdentity(f"svc{i}", "op") for i in range(depth)]
+    callees = ids[1:] + ([ids[0]] if closed else [None])
+    return TopologySpec(
+        root=ids[0],
+        operations=tuple(
+            OperationSpec(i, latency_from_median_us(100, 0.1), calls=(CallSpec(c),) if c else ())
+            for i, c in zip(ids, callees)
+        ),
+    )
+
+
+def test_a_2000_deep_chain_runs_two_closed_loop_epochs():
+    records = list(itertools.islice(closed_loop(_chain(2000), (), WorkloadSpec(batch_size=5)), 2))
+    assert [r.metrics.epoch for r in records] == [1, 2]
+    assert [len(t) for t in records[0].traces] == [2000] * 5
+    assert all(len(r.traces) == 5 for r in records)
+
+
+def test_a_2000_deep_cycle_names_its_callee():
+    with pytest.raises(InvalidTopology, match=r"^call cycle through svc0/op$"):
+        _chain(2000, closed=True)
+
+
 def test_invalid_topologies_rejected():
     ops = _topology().operations
     with pytest.raises(InvalidTopology):
