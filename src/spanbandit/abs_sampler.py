@@ -60,7 +60,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -73,6 +72,7 @@ from .belief import (
     json_number,
     json_object,
     posterior_variance,
+    read_json,
     write_json,
 )
 from .trace_model import SpanIdentity, identity_to_json
@@ -526,8 +526,7 @@ def save_policy(policy: SamplingPolicy, path: str) -> None:
 
 
 def load_policy(path: str) -> SamplingPolicy:
-    with open(path) as f:
-        return policy_from_json_dict(json.load(f))
+    return policy_from_json_dict(read_json(path, "a policy file", InvalidPolicy))
 
 
 # --- report ------------------------------------------------------------------

@@ -238,6 +238,16 @@ def save_store(store: BeliefStore, path: str) -> None:
     write_json(store_to_json_dict(store), path)
 
 
-def load_store(path: str) -> BeliefStore:
+def read_json(path: str, name: str, error: type[ValueError]):
+    """The JSON document in `path`. The stdlib decoder recurses once per
+    nesting level, so a document nested past the recursion limit raises
+    `error` naming `name`."""
     with open(path) as f:
-        return store_from_json_dict(json.load(f))
+        try:
+            return json.load(f)
+        except RecursionError:
+            raise error(f"{name} is JSON nested too deeply to read") from None
+
+
+def load_store(path: str) -> BeliefStore:
+    return store_from_json_dict(read_json(path, "a state file", InvalidBelief))

@@ -8,9 +8,24 @@ Decomposing a generated trace therefore recovers the configured self
 times without error, which makes ground truth checkable.
 
 A topology is expanded once into the span tree of a fully traced request
-(`TopologySpec.tree`). Each request draws its spans in preorder, lays them
-out bottom-up and records them in preorder, in flat loops, so any depth
-simulates. The trace is valid by construction, so its recorded rows go to
+(`TopologySpec.tree`), with per-span columns beside it: the lognormal
+parameters, the parents, and the spans of each service and identity. A
+request is a few whole-tree array steps over those columns, so any depth
+simulates:
+
+- the latencies are drawn as vector lognormal draws over runs of spans in
+  preorder. The draw order is fixed: a run ends at each span that draws
+  between its latency and the next span's (a random-delay target, or a
+  span of a routed canary's service), so the random numbers come out
+  exactly as one scalar draw per span would give them;
+- each contention multiplies its service's latencies in anomaly order,
+  one factor at a time, and a draw that is non-finite or past 2**62
+  raises for the first such span in preorder;
+- the durations are laid out bottom-up over the spans that have children;
+- the recording decisions are one vector of uniforms, one per non-root
+  span, compared against the policy's probability of each span.
+
+The trace is valid by construction, so its recorded rows go to
 `trace_from_rows` and are not re-validated through `build_trace`.
 
 Sampling policies act at span granularity. A span whose recording
@@ -22,8 +37,8 @@ valid trace.
 """
 from __future__ import annotations
 
+import functools
 import itertools
-import json
 import math
 import numbers
 import time
@@ -34,7 +49,16 @@ from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 import numpy as np
 
 from .abs_sampler import SamplingPolicy, VitalSetConfig, build_policy, report
-from .belief import BeliefStore, json_integer, json_list, json_number, json_object, update_epoch, write_json
+from .belief import (
+    BeliefStore,
+    json_integer,
+    json_list,
+    json_number,
+    json_object,
+    read_json,
+    update_epoch,
+    write_json,
+)
 from .trace_model import (
     SPAN_TIME_LIMIT_US,
     SpanIdentity,
@@ -97,9 +121,6 @@ class LatencyModel:
     def __post_init__(self) -> None:
         _check_fields(self, finite=("mu_log",), non_negative=("sigma_log",))
 
-    def draw(self, rng: np.random.Generator) -> float:
-        return float(rng.lognormal(self.mu_log, self.sigma_log))
-
 
 def latency_from_median_us(median_us: float, sigma_log: float) -> LatencyModel:
     """Lognormal parameterized by its median, which is easier to read in tables."""
@@ -145,6 +166,9 @@ class SpanNode(NamedTuple):
     children: tuple[tuple[int, ...], ...]
 
 
+_derived = functools.partial(field, init=False, repr=False, compare=False)
+
+
 @dataclass(frozen=True)
 class TopologySpec:
     """A call DAG over operation identities, expanded once into a span tree.
@@ -154,13 +178,22 @@ class TopologySpec:
     be acyclic and every callee must be declared. `tree` holds one
     `SpanNode` per span of a fully traced request, in preorder. It is
     expanded at load on an explicit stack, so any depth loads, and an
-    astronomically large request stalls here.
+    astronomically large request stalls here. The other derived fields are
+    columns over `tree`'s spans, which `generate_request` reads.
     """
 
     root: SpanIdentity
     operations: tuple[OperationSpec, ...]
     service_tags: tuple[ServiceTagSpec, ...] = ()
-    tree: tuple[SpanNode, ...] = field(init=False, repr=False, compare=False)
+    tree: tuple[SpanNode, ...] = _derived()
+    span_identities: tuple[SpanIdentity, ...] = _derived()
+    mu_log: np.ndarray = _derived()
+    sigma_log: np.ndarray = _derived()
+    parents: tuple[int, ...] = _derived()
+    inner_spans: tuple[int, ...] = _derived()  # the spans with children, in reverse preorder
+    spans_by_service: dict[str, np.ndarray] = _derived()
+    spans_by_identity: dict[SpanIdentity, np.ndarray] = _derived()  # keys in preorder of first use
+    identity_index: np.ndarray = _derived()  # each span's identity, as its key's position above
 
     def __post_init__(self) -> None:
         ops = {op.identity: op for op in self.operations}
@@ -197,7 +230,25 @@ class TopologySpec:
             stack.append((len(nodes), iter(ops[call.callee].calls)))
             nodes.append(SpanNode(ops[call.callee], index, []))
         tree = tuple(node._replace(children=tuple(map(tuple, node.children))) for node in nodes)
-        object.__setattr__(self, "tree", tree)
+        span_ops = [node.op for node in tree]
+        by_service: dict[str, list[int]] = {}
+        by_identity: dict[SpanIdentity, list[int]] = {}
+        for index, op in enumerate(span_ops):
+            by_service.setdefault(op.identity.service, []).append(index)
+            by_identity.setdefault(op.identity, []).append(index)
+        position = {identity: k for k, identity in enumerate(by_identity)}
+        for name, value in (
+            ("tree", tree),
+            ("span_identities", tuple(op.identity for op in span_ops)),
+            ("mu_log", np.array([op.base.mu_log for op in span_ops])),
+            ("sigma_log", np.array([op.base.sigma_log for op in span_ops])),
+            ("parents", tuple(node.parent for node in tree)),
+            ("inner_spans", tuple(i for i in range(len(tree) - 1, -1, -1) if tree[i].children)),
+            ("spans_by_service", {k: np.array(v) for k, v in by_service.items()}),
+            ("spans_by_identity", {k: np.array(v) for k, v in by_identity.items()}),
+            ("identity_index", np.array([position[op.identity] for op in span_ops])),
+        ):
+            object.__setattr__(self, name, value)
 
     def identities(self) -> tuple[SpanIdentity, ...]:
         return tuple(op.identity for op in self.operations)
@@ -353,11 +404,6 @@ class WorkloadSpec:
             )
 
 
-def _extra_delay_us(a: RandomDelayAnomaly | CanaryAnomaly, identity: SpanIdentity, rng) -> int:
-    # Normal delay truncated at zero.
-    return max(0, _finite_us(rng.normal(a.delay_mean_us, a.delay_std_us), identity, "delay"))
-
-
 def generate_request(
     topology: TopologySpec,
     anomalies: Sequence[AnomalySpec],
@@ -373,7 +419,8 @@ def generate_request(
 
     An empty or None policy records every span. The generator consumes
     randomness in a fixed order (head sampling, canary routing, service
-    tags, then every span of `topology.tree` in preorder), and recording
+    tags, then every span of `topology.tree` in preorder: its latency,
+    then each of its anomaly draws in anomaly order), and recording
     decisions come from a stream forked off at the end, so the same rng
     seed produces identical latencies under any policy.
     """
@@ -382,50 +429,86 @@ def generate_request(
 
     # One routing draw per canary, kept by its position in `anomalies`.
     routed = [isinstance(a, CanaryAnomaly) and bool(rng.random() < a.fraction) for a in anomalies]
-    request_tags: dict[str, dict[str, str]] = {}
+    # Each service's tags: its drawn values, then each canary's version tag in anomaly order.
+    service_tags: dict[str, dict[str, str]] = {}
     for spec in topology.service_tags:
         value = spec.values[int(rng.integers(len(spec.values)))]
-        request_tags.setdefault(spec.service, {})[spec.key] = value
+        service_tags.setdefault(spec.service, {})[spec.key] = value
+    for a, canary_routed in zip(anomalies, routed):
+        if isinstance(a, CanaryAnomaly):
+            service_tags.setdefault(a.service, {})[a.tag_key] = (
+                a.canary_value if canary_routed else a.stable_value
+            )
 
-    labels = anomaly_labels(anomalies) if ground_truth is not None else []
+    # The spans that draw between their latency and the next span's, each
+    # with the anomalies that draw there, in anomaly order.
+    draws_after: dict[int, list[int]] = {}
+    for i, a in enumerate(anomalies):
+        if isinstance(a, RandomDelayAnomaly):
+            spans = topology.spans_by_identity.get(a.target)
+        elif routed[i]:
+            spans = topology.spans_by_service.get(a.service)
+        else:
+            continue
+        for span in () if spans is None else spans.tolist():
+            draws_after.setdefault(span, []).append(i)
 
-    def fired(i: int) -> None:
-        if ground_truth is not None:
-            ground_truth.activations.setdefault(labels[i], []).append(request_index)
+    # Latencies as one lognormal draw per run of spans, each run ending at a
+    # span that draws delays; a random delay first draws whether it fires.
+    n = len(topology.tree)
+    mu, sigma = topology.mu_log, topology.sigma_log
+    base = np.empty(n)
+    delays: list[tuple[int, int, float]] = []  # (span, anomaly, drawn delay), in draw order
+    start = 0
+    for span in sorted(draws_after):
+        base[start:span + 1] = rng.lognormal(mu[start:span + 1], sigma[start:span + 1])
+        start = span + 1
+        for i in draws_after[span]:
+            a = anomalies[i]
+            if isinstance(a, CanaryAnomaly) or rng.random() < a.probability:
+                delays.append((span, i, rng.normal(a.delay_mean_us, a.delay_std_us)))
+    if start < n:
+        base[start:] = rng.lognormal(mu[start:], sigma[start:])
 
-    # Draw every span's self time and tags, in preorder.
-    tree = topology.tree
-    self_times: list[int] = []
-    span_tags: list[dict[str, str]] = []
-    for op, _, _ in tree:
-        identity = op.identity
-        base = op.base.draw(rng)
-        for i, a in enumerate(anomalies):
-            if isinstance(a, ContentionAnomaly) and a.service == identity.service:
-                if a.window is None or a.window[0] <= request_index < a.window[1]:
-                    base *= a.factor
-                    fired(i)
-        self_us = max(1, _finite_us(base, identity, "latency"))
-        tags = dict(request_tags.get(identity.service, {}))
-        for i, (a, canary_routed) in enumerate(zip(anomalies, routed)):
-            if isinstance(a, RandomDelayAnomaly) and a.target == identity:
-                if rng.random() < a.probability:
-                    self_us += _extra_delay_us(a, identity, rng)
-                    fired(i)
-            elif isinstance(a, CanaryAnomaly) and a.service == identity.service:
-                if canary_routed:
-                    self_us += _extra_delay_us(a, identity, rng)
-                    tags[a.tag_key] = a.canary_value
-                    fired(i)
-                else:
-                    tags[a.tag_key] = a.stable_value
-        self_times.append(self_us)
-        span_tags.append(tags)
+    # Per anomaly that fired, for the ground truth: (first span, 0 for a
+    # contention or 1 for a delay, anomaly, spans fired), so that sorting
+    # gives the order of first firing.
+    fired: dict[int, list[int]] = {}
+    for i, a in enumerate(anomalies):
+        if (
+            isinstance(a, ContentionAnomaly)
+            and a.service in topology.spans_by_service
+            and (a.window is None or a.window[0] <= request_index < a.window[1])
+        ):
+            spans = topology.spans_by_service[a.service]
+            with np.errstate(over="ignore"):  # an overflow is an infinite draw, named below
+                base[spans] *= a.factor  # one factor at a time, as the rounding goes
+            fired[i] = [int(spans[0]), 0, i, len(spans)]
+    for span, i, _ in delays:
+        fired.setdefault(i, [span, 1, i, 0])[3] += 1
+
+    # The first draw past what a span holds, in draw order, raises; NaN and
+    # inf fail the comparison too.
+    identities = topology.span_identities
+    first_bad = n if base.max() < SPAN_TIME_LIMIT_US else int(np.argmin(base < SPAN_TIME_LIMIT_US))
+    extra = [(span, max(0, _finite_us(d, identities[span], "delay")))  # Normal truncated at zero
+             for span, _, d in delays if span < first_bad]
+    if first_bad < n:
+        _finite_us(float(base[first_bad]), identities[first_bad], "latency")
+    self_times = np.maximum(np.rint(base), 1.0).astype(np.int64).tolist()
+    for span, d in extra:
+        self_times[span] += d
+    if ground_truth is not None:
+        labels = anomaly_labels(anomalies)
+        for _, _, i, count in sorted(fired.values()):
+            ground_truth.activations.setdefault(labels[i], []).extend([request_index] * count)
 
     # Bottom-up: each span's duration, and each child's offset in its parent;
-    # self time splits into gaps before, between and after the stages.
-    durations, offsets = [0] * len(tree), [0] * len(tree)
-    for index in range(len(tree) - 1, -1, -1):
+    # self time splits into gaps before, between and after the stages. A
+    # leaf's duration is its self time.
+    tree = topology.tree
+    durations, offsets = list(self_times), [0] * n
+    for index in topology.inner_spans:
         stages = tree[index].children
         gap, rem = divmod(self_times[index], len(stages) + 1)
         t = gap + (rem > 0)
@@ -436,32 +519,41 @@ def generate_request(
         durations[index] = t
     if durations[0] >= SPAN_TIME_LIMIT_US:  # each draw fits, but their sum, the root's end, may not
         raise InvalidTopology(f"{topology.root.label()} has a duration of {durations[0]} us, past 2**62")
+    parents = topology.parents
+    for index in range(1, n):
+        offsets[index] += offsets[parents[index]]  # a start now, as the parent's already is
 
     # Recording decisions on a forked stream: policy choices cannot perturb
     # the latency draws above. A dropped span's children attach to its
     # nearest recorded ancestor; the root is always recorded.
     rec_rng = np.random.Generator(np.random.PCG64(int(rng.integers(2**63))))
-    kept: list[int] = []  # the recorded spans' indices, one per row
-    attach_to: list[int] = []  # per span: its row if recorded, else its parent's
-    for index, (op, parent, _) in enumerate(tree):
-        if parent >= 0:
-            offsets[index] += offsets[parent]  # a start now, as the parent's already is
-            p = policy.probability(op.identity) if policy is not None else 1.0
-            if not rec_rng.random() < p:
-                attach_to.append(attach_to[parent])
-                continue
-        attach_to.append(len(kept))
-        kept.append(index)
+    if policy is None:
+        p = np.ones(n - 1)
+    else:
+        p = np.array([policy.probability(i) for i in topology.spans_by_identity])[topology.identity_index[1:]]
+    kept = [0]  # the recorded spans' indices, one per row
+    attach_to = [0]  # per span: its row if recorded, else its parent's
+    for index, keep in enumerate((rec_rng.random(n - 1) < p).tolist(), 1):
+        if keep:
+            attach_to.append(len(kept))
+            kept.append(index)
+        else:
+            attach_to.append(attach_to[parents[index]])
     span_ids = [f"s{row:04d}" for row in range(len(kept))]
     if self_times_out is not None:
         # The drawn self times; under thinning, a recorded span's decomposed self
         # segment may exceed its own by what dropped descendants left uncovered.
         self_times_out.update(zip(span_ids, [self_times[i] for i in kept]))
+    tags = {
+        row: dict(service_tags[identities[i].service])
+        for row, i in enumerate(kept)
+        if identities[i].service in service_tags
+    }
     # Valid by construction: one root, every parent recorded before its children.
     return trace_from_rows(
-        f"t{request_index:07d}", span_ids, [-1] + [attach_to[tree[i].parent] for i in kept[1:]],
-        [tree[i].op.identity for i in kept], [offsets[i] for i in kept], [durations[i] for i in kept],
-        {row: span_tags[i] for row, i in enumerate(kept) if span_tags[i]},
+        f"t{request_index:07d}", span_ids, [-1] + [attach_to[parents[i]] for i in kept[1:]],
+        [identities[i] for i in kept],
+        [offsets[i] for i in kept], [durations[i] for i in kept], tags,
     )
 
 
@@ -836,8 +928,7 @@ def save_spec(
 
 
 def load_spec(path: str) -> tuple[TopologySpec, tuple[AnomalySpec, ...], WorkloadSpec]:
-    with open(path) as f:
-        return spec_from_json_dict(json.load(f))
+    return spec_from_json_dict(read_json(path, "a spec file", InvalidTopology))
 
 
 def ground_truth_to_json_dict(truth: GroundTruth) -> dict:

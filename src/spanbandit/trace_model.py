@@ -416,6 +416,8 @@ def span_from_json(
         obj, end = _raw_decode(line)
     except json.JSONDecodeError:
         end = -1
+    except RecursionError:  # the decoder recurses once per nesting level
+        raise TraceFormatError(f"line {line_no}: JSON nested too deeply to read") from None
     if end != len(line):  # json.loads accepts surrounding whitespace, and words the error
         try:
             obj = json.loads(line)

@@ -963,3 +963,36 @@ def test_a_tag_value_of_each_json_type_is_read_or_refused(tmp_path, capsys, valu
             assert "line 2" in err["message"] and "'zone'" in err["message"]
     if read:
         assert read_traces_jsonl(str(path))[0].tags[1]["zone"] == str(value)
+
+
+# JSON nested this deep is past the stdlib decoder's recursion limit.
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("kind, error", [
+    ("spec", "InvalidTopology"), ("state", "InvalidBelief"), ("policy", "InvalidPolicy"),
+])
+def test_a_json_file_nested_too_deeply_reports_json_error(tmp_path, capsys, kind, error):
+    traces, spec, state, policy = _files_with_one_change(tmp_path, capsys, kind, lambda doc: doc)
+    {"spec": spec, "state": state, "policy": policy}[kind].write_text(DEEP)
+    rc = _main_reading(kind, tmp_path, traces, spec, state, policy)
+    err = json.loads(capsys.readouterr().err)
+    assert rc == 2
+    assert err == {"error": error, "message": f"a {kind} file is JSON nested too deeply to read"}
+
+
+def test_a_span_line_nested_too_deeply_reports_json_error(tmp_path, capsys):
+    lines = _simulate(tmp_path, preset="social", requests=20).read_text().splitlines(keepends=True)
+    lines[1] = lines[1].replace('"tags":{}', '"tags":{"zone":' + DEEP + "}", 1)
+    assert DEEP in lines[1]
+    path = tmp_path / "deep.jsonl"
+    path.write_text("".join(lines))
+    capsys.readouterr()
+    for argv in (["learn", "--in", str(path), "--state", str(tmp_path / "state.json")],
+                 ["decompose", "--in", str(path)]):
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "TraceFormatError", "message": "line 2: JSON nested too deeply to read",
+        }

@@ -32,6 +32,8 @@ from spanbandit.simulator import (
     ContentionAnomaly,
     ControllerConfig,
     RandomDelayAnomaly,
+    ServiceTagSpec,
+    TopologySpec,
     WorkloadSpec,
     run_closed_loop,
     save_spec,
@@ -61,10 +63,12 @@ GOLDEN = {
     "simulate-mixed-spec": "666cbc85509316ebd7fa56afaa6d1827668c688d5a9f2b9fd7724533b357d8d4",
     "simulate-rail": "d0e4ee1af82b5d34759fd0e0af16aee52a051323dfbfd05605c510898c411a23",
     "simulate-social": "48c1cbd82ca4da54ac73e15275f735cd5243f1805305160ad4fdb3bd1a67340f",
+    "simulate-layered-spec": "09fa1ded58e12e7ab9af715e2cd7390315c855bc2a12aa0aa206f2e39b85d60b",
     "simulate-social-thinned": "92222c535f49b6c5b0f3e9769a0e826b21b38e71eb18e65ad326c5138246122f",
     "tags-json": "a8baab38abb38ac2264fb17b863cd50490ba9ba593788512c6674bc0fae929ff",
     "tags-json-e2e": "994ff05ba5c7477d11209999d368b8274972c03bd1b63ba445c1caa100dcb544",
     "tags-table-recommend": "4b6ba9e5717c01eb2896989ee7ae485f4c6c5553a84dfc8908d7392a8fd55f19",
+    "truth-layered-spec": "8fd6c3cc3b3dd3f287d9db051d7c3833a5ea5207cb7cf3c755453ef409782eef",
     "truth-media": "616436f1e6884dca30408619fa9a8d24b18efc1546dc88fd7948d995e7f196a7",
     "truth-media-canary": "56f15075a23d36f82d00ade1b0b41ab2d5a09957ea2f081bdbbf26f7d33313e7",
     "truth-mixed-spec": "e4e7f83a7df6e0daf9e5d30ee2b77b41de39d31862640b7559334d92ad6bccf6",
@@ -107,6 +111,24 @@ MIXED_ANOMALIES = (
     ContentionAnomaly("post-store", 3.0, (100, 300)),
     RandomDelayAnomaly(SpanIdentity("text", "process"), 0.3),
     CanaryAnomaly("media", 0.4),
+)
+
+# The generator's draw order where anomalies stack on one span. Two
+# contentions on the cache service, applied one after the other: their
+# factors push its latencies past 2**53, where one rounding step shows in
+# whole microseconds, so multiplying by the factors' product instead
+# changes the trace. A random delay on a span of a canary's service, so
+# that span draws twice between its latency and the next span's. And
+# service tags on both services.
+LAYERED_ANOMALIES = (
+    ContentionAnomaly("cache", 4.1e6),
+    RandomDelayAnomaly(SpanIdentity("user-store", "find"), 0.6, 3000.0, 900.0),
+    CanaryAnomaly("user-store", 0.5, 2000.0, 500.0),
+    ContentionAnomaly("cache", 1.3e7, (50, 250)),
+)
+LAYERED_TAGS = (
+    ServiceTagSpec("cache", "zone", ("z1", "z2", "z3")),
+    ServiceTagSpec("user-store", "shard", ("a", "b")),
 )
 
 pytestmark = pytest.mark.skipif(
@@ -224,6 +246,14 @@ def digests(golden_dir):
     out["truth-mixed-spec"] = _sha_file(truth)
 
     social = get_preset("social")
+    spec, traces, truth = d / "layered-spec.json", d / "layered.jsonl", d / "layered-truth.json"
+    layered = TopologySpec(social.topology.root, social.topology.operations, LAYERED_TAGS)
+    save_spec(layered, LAYERED_ANOMALIES, WorkloadSpec(num_requests=400, rng_seed=9), str(spec))
+    _run(["simulate", "--spec", spec, "--rate", 0.8, "--policy", policy, "--out", traces,
+          "--truth-out", truth])
+    out["simulate-layered-spec"] = _sha_file(traces)
+    out["truth-layered-spec"] = _sha_file(truth)
+
     schedule = [(1, social.anomalies), (4, (RandomDelayAnomaly(SpanIdentity("cache", "timeline-set")),))]
     shifted = run_closed_loop(
         social.topology, schedule, with_seed(social.workload, 3), ControllerConfig(), num_epochs=8
@@ -243,6 +273,17 @@ def test_mixed_spec_fires_every_anomaly(digests, golden_dir):
         "canary:media": 105,
         "contention:post-store": 137,
         "random_delay:text/process": 72,
+    }
+
+
+def test_layered_spec_fires_every_anomaly(digests, golden_dir):
+    truth = json.loads((golden_dir / "layered-truth.json").read_text())
+    counts = {k: len(v) for k, v in truth["activations"].items()}
+    assert counts == {
+        "canary:user-store": 480,
+        "contention:cache": 2664,
+        "contention:cache#2": 1384,
+        "random_delay:user-store/find": 197,
     }
 
 

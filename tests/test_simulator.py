@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from spanbandit import (
     CanaryAnomaly,
     ContentionAnomaly,
     ControllerConfig,
+    GroundTruth,
     InvalidTopology,
     LatencyModel,
     OperationSpec,
@@ -285,6 +287,96 @@ def test_span_times_past_2_62_name_the_operation_or_the_root():
         generate_request(pair, (), None, request_rng(0, 0))
 
 
+X = SpanIdentity("x", "op")
+Y = SpanIdentity("y", "op")
+PAST_2_62 = LatencyModel(np.log(2.0**62) + 0.01, 0.0)  # finite, past what a span holds
+INFINITE = LatencyModel(800.0, 0.0)  # exp(800) overflows to inf
+
+
+def _root_calls_x_then_y(x: LatencyModel, y: LatencyModel) -> TopologySpec:
+    # Y is declared before X, so only the preorder puts X first.
+    return TopologySpec(root=ROOT, operations=(
+        OperationSpec(ROOT, latency_from_median_us(900, 0.2), calls=(CallSpec(X), CallSpec(Y))),
+        OperationSpec(Y, y),
+        OperationSpec(X, x),
+    ))
+
+
+@pytest.mark.parametrize("x, y, named", [
+    (PAST_2_62, INFINITE, "x/op drew a latency of"),
+    (INFINITE, PAST_2_62, "x/op drew a non-finite latency (inf)"),
+])
+def test_of_two_overflowing_spans_the_first_in_preorder_is_named(x, y, named):
+    with pytest.raises(InvalidTopology, match="^" + re.escape(named)):
+        generate_request(_root_calls_x_then_y(x, y), (), None, request_rng(0, 0))
+
+
+@pytest.mark.parametrize("anomaly", [RandomDelayAnomaly(X, 1.0, 1e19, 0.0), CanaryAnomaly("x", 1.0, 1e19, 0.0)])
+def test_a_delay_is_named_after_its_own_spans_latency_and_before_later_spans(anomaly):
+    # X's delay is drawn after X's latency and before Y's latency.
+    ok = latency_from_median_us(100, 0.1)
+    delay = "x/op drew a delay of 1e+19 us, past 2**62"
+    for x, y, named in ((ok, PAST_2_62, delay), (ok, INFINITE, delay), (PAST_2_62, ok, "x/op drew a latency of")):
+        with pytest.raises(InvalidTopology, match="^" + re.escape(named)):
+            generate_request(_root_calls_x_then_y(x, y), (anomaly,), None, request_rng(0, 0))
+
+
+def test_an_overflowing_contention_multiply_is_named_not_warned():
+    # One factor at a time, 200 us * 1e308 overflows before 1e-300 could bring
+    # it back; the two factors' product, about 1e8, would not overflow.
+    leaf = TopologySpec(root=LEAF, operations=(OperationSpec(LEAF, latency_from_median_us(200, 0.5)),))
+    anomalies = (ContentionAnomaly("db", 1e308), ContentionAnomaly("db", 1e-300))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidTopology, match=r"^db/find drew a non-finite latency \(inf\)$"):
+            generate_request(leaf, anomalies, None, request_rng(0, 0))
+
+
+def test_ground_truth_counts_each_firing_keyed_in_order_of_first_firing():
+    # Preorder: ROOT, MID, LEAF, LEAF, MID, LEAF, LEAF, SIDE. On a span, a
+    # contention fires before the delays, which fire in anomaly order.
+    anomalies = (
+        CanaryAnomaly("db", 1.0),
+        ContentionAnomaly("svc", 2.0, (1, 3)),
+        RandomDelayAnomaly(LEAF, 1.0),
+        ContentionAnomaly("cache", 1.5),
+        ContentionAnomaly("db", 1.1),
+        CanaryAnomaly("web", 0.0),
+        RandomDelayAnomaly(SIDE, 0.0),
+    )
+    truth = GroundTruth(faulty=())
+    for index in range(4):
+        generate_request(_topology(), anomalies, None, request_rng(5, index), request_index=index,
+                         ground_truth=truth)
+    every_leaf = [index for index in range(4) for _ in range(4)]
+    assert list(truth.activations.items()) == [
+        ("contention:db", every_leaf),
+        ("canary:db", every_leaf),
+        ("random_delay:db/find", every_leaf),
+        ("contention:cache", [0, 1, 2, 3]),
+        ("contention:svc", [1, 1, 2, 2]),
+    ]
+
+
+def test_vector_draws_on_pcg64_equal_the_scalar_draws_they_replace():
+    # generate_request draws a run of spans' latencies in one lognormal call
+    # and its recording decisions in one random call, and rounds with rint.
+    mu = np.log([900.0, 400.0, 200.0, 200.0, 80.0, 1e3, 5.0, 3e4, 1.0])
+    sigma = np.array([0.2, 0.3, 0.5, 0.0, 0.1, 0.82, 1.5, 0.36, 3.0])
+    for seed in range(5):
+        vector, scalar = (np.random.Generator(np.random.PCG64(seed)) for _ in range(2))
+        assert vector.lognormal(mu, sigma).tolist() == [
+            scalar.lognormal(m, s) for m, s in zip(mu.tolist(), sigma.tolist())
+        ]
+        assert vector.lognormal(mu[3:7], sigma[3:7]).tolist() == [
+            scalar.lognormal(m, s) for m, s in zip(mu[3:7].tolist(), sigma[3:7].tolist())
+        ]
+        assert vector.random(40).tolist() == [scalar.random() for _ in range(40)]
+        assert vector.random() == scalar.random()  # the streams are still in step
+    x = np.array([0.0, 0.5, 1.5, 2.5, 2.4999999999999996, 1e6 + 0.5, 2.0**52 + 0.5, 2.0**53 + 2.0, 1e18])
+    assert np.rint(x).astype(np.int64).tolist() == [int(round(v)) for v in x.tolist()]
+
+
 def test_closed_loop_needs_an_epoch():
     preset = get_preset("social")
     with pytest.raises(ValueError, match="num_epochs"):
@@ -292,9 +384,9 @@ def test_closed_loop_needs_an_epoch():
 
 
 def test_latency_model_median():
-    model = latency_from_median_us(700, 0.4)
+    leaf = TopologySpec(root=LEAF, operations=(OperationSpec(LEAF, latency_from_median_us(700, 0.4)),))
     rng = np.random.default_rng(0)
-    draws = np.array([model.draw(rng) for _ in range(20_000)])
+    draws = np.array([generate_request(leaf, (), None, rng).duration_us[0] for _ in range(20_000)])
     assert abs(np.median(draws) - 700) / 700 < 0.02
 
 
